@@ -34,7 +34,7 @@ from mpmath import mp
 
 from .errors import InvalidModelError
 from .model import CaseKind, ModelSpec, classify
-from .ultimate import SequenceSet, build_sequences
+from .ultimate import SequenceSet, _det, build_sequences
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ def difference_matrix(seqs: SequenceSet, n: int) -> list[list]:
     if n + dim > seqs.n_max:
         raise InvalidModelError(f"sequences reach n_max={seqs.n_max}, need index {n + dim}")
     return [[c[n + i] - c[n] for c in cols] for i in range(1, dim + 1)]
-
-
-def _det(rows) -> "mp.mpf":
-    if len(rows) == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
 
 
 def _suspicious(det, rows, bits: int) -> bool:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .model import ModelSpec
-from .pmf import Pmf
 
 _MC_CHUNK = 65536  # trials per block; multiple of 4 keeps Philox counters aligned
 
@@ -50,21 +49,16 @@ class SurvivalGrid:
         return float(self.values[u, t - 1])
 
 
-def _capped_cdf(p: Pmf, upto: int) -> np.ndarray:
-    """cdf array F(0..upto) with F frozen at the retained total beyond support."""
-    cs = np.cumsum(p.probs)
-    idx = np.minimum(np.arange(upto + 1), p.support_max)
-    return cs[idx]
-
-
 def _layer_one(model: ModelSpec, width: int) -> np.ndarray:
-    xc = _capped_cdf(model.x, width + 1)
-    return xc[1 : width + 2].copy()
+    x = model.x
+    # X(1..width+1), frozen at the retained total beyond the support
+    return x._cdf[np.minimum(np.arange(1, width + 2), x.support_max)]
 
 
 def _layer_two(model: ModelSpec, width: int) -> np.ndarray:
     out = np.zeros(width + 1)
-    yc = _capped_cdf(model.y, width + 3)
+    y = model.y
+    yc = y._cdf[np.minimum(np.arange(width + 4), y.support_max)]
     xp = model.x.probs
     for k in range(min(model.x.support_max, width + 1) + 1):
         xk = xp[k]

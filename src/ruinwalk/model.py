@@ -56,16 +56,6 @@ class ModelSpec:
     def mean_s_upper(self) -> float:
         return self.mean_s + self.s.tail_mean_bound
 
-    @cached_property
-    def s_dist(self) -> "SDist":
-        return SDist(self.s, self.mean_s)
-
-
-@dataclass(frozen=True)
-class SDist:
-    s: Pmf
-    mean_s: float
-
 
 def net_profit_margin(model: ModelSpec) -> float:
     """Income minus expected claims per period pair, 4 - E[s] (retained)."""

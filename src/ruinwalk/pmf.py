@@ -19,6 +19,8 @@ from .errors import InvalidModelError, NumericalError
 
 # Explicit atom lists must account for all mass up to this tolerance.
 EXPLICIT_SUM_TOL = 1e-9
+# A Pmf's atoms plus its defect must sum to 1 within this accumulation error.
+PMF_SUM_TOL = 1e-14
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -51,7 +53,7 @@ class Pmf:
         if self.mass_defect < 0 or self.mass_defect > 1:
             raise InvalidModelError(f"mass_defect out of range: {self.mass_defect}")
         total = math.fsum(self.probs) + self.mass_defect
-        if abs(total - 1.0) > 1e-14:
+        if abs(total - 1.0) > PMF_SUM_TOL:
             raise InvalidModelError(
                 f"probs + mass_defect must sum to 1, got {total!r}"
             )
@@ -94,7 +96,8 @@ def from_probs(values, tail_mean_bound=None) -> Pmf:
     """Build a Pmf from an explicit atom list that must sum to 1.
 
     The list is taken as the complete distribution; a residual up to
-    EXPLICIT_SUM_TOL is tolerated and recorded as mass_defect.
+    EXPLICIT_SUM_TOL is tolerated. A shortfall is recorded as mass_defect;
+    an excess beyond what a Pmf accepts scales the atoms down to sum to 1.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
@@ -106,6 +109,9 @@ def from_probs(values, tail_mean_bound=None) -> Pmf:
         raise InvalidModelError(
             f"atom probabilities sum to {total!r}, expected 1 within {EXPLICIT_SUM_TOL}"
         )
+    if total - 1.0 > PMF_SUM_TOL:
+        arr = arr / total
+        total = math.fsum(arr)
     defect = max(0.0, 1.0 - total)
     if tail_mean_bound is None:
         tail_mean_bound = defect * (len(arr) - 1)
@@ -201,8 +207,10 @@ def summarize(p: Pmf) -> PmfSummary:
 def parse_pmf_spec(text: str, tail_tol: float = 1e-12) -> Pmf:
     """Parse ``dpois:<lambda>,<shift>`` | ``pmf:<p0>,...,<pk>`` | ``@<path>``.
 
-    File form: one probability per line, line index = atom value; blank
-    lines are not allowed, the list must sum to 1 within 1e-9.
+    File form: line k is the weight of atom k (k = 0, 1, ...). Trailing
+    newlines are allowed; a blank line before the last weight is an error,
+    since it would shift every later atom. The list must sum to 1 within
+    1e-9.
     """
     if not isinstance(text, str) or not text.strip():
         raise InvalidModelError("empty distribution spec")
@@ -235,8 +243,15 @@ def parse_pmf_spec(text: str, tail_tol: float = 1e-12) -> Pmf:
                 lines = [ln.strip() for ln in fh]
         except OSError as exc:
             raise InvalidModelError(f"cannot read pmf file {path!r}: {exc}") from exc
+        while lines and not lines[-1]:
+            lines.pop()
+        if "" in lines:
+            raise InvalidModelError(
+                f"blank line {lines.index('') + 1} in pmf file {path!r}; "
+                "line k is the weight of atom k"
+            )
         try:
-            values = [float(ln) for ln in lines if ln]
+            values = [float(ln) for ln in lines]
         except ValueError as exc:
             raise InvalidModelError(f"bad probability line in {path!r}") from exc
         if not values:

@@ -18,11 +18,14 @@ phi(n) is a fixed linear combination
 
     phi(n) = c0_n phi(0) + c1_n phi(1) + c2_n phi(2) + d_n (4 - E[s])
 
-whose coefficient sequences satisfy the same recurrence as phi and can be
-generated explicitly. The coefficients blow up geometrically while phi
-stays bounded, so differences phi(n + i) - phi(n) vanish at large n; the
-resulting small linear system (3x3, 2x2, or scalar depending on the case)
-is solved by Cramer's rule with the right-hand side set exactly to zero.
+whose coefficient sequences satisfy the same recurrence as phi, with head
+entries from the same constraint. One forward recurrence (``_forward``)
+therefore produces both: run from the head of a unit vector it yields a
+coefficient sequence, run from the solved initial values it yields phi
+itself. The coefficients blow up geometrically while phi stays bounded,
+so differences phi(n + i) - phi(n) vanish at large n; the resulting small
+linear system (3x3, 2x2, or scalar depending on the case) is solved by
+Cramer's rule with the right-hand side set exactly to zero.
 The coefficient growth wipes out double precision long before n reaches
 useful values, so sequence generation and the solve run in extended
 precision (mpmath), with the bit budget scaled to the expected growth
@@ -80,9 +83,6 @@ class _MpModel:
     def y(self, i):
         return self.ys[i] if 0 <= i < len(self.ys) else mp.mpf(0)
 
-    def s_at(self, i):
-        return self.ss[i] if 0 <= i < len(self.ss) else mp.mpf(0)
-
     def s_cdf(self, u):
         if u < 0:
             return mp.mpf(0)
@@ -99,6 +99,74 @@ def _estimate_bits(model: ModelSpec, min_atom: int, n: int) -> int:
     pivot = model.s.p(min_atom)
     per_index = math.log2(1.0 / pivot) / (4 - min_atom) if pivot < 1.0 else 0.0
     return int(math.ceil(n * per_index)) + 96
+
+
+# ---- the forward-recurrence kernel ----
+
+
+def _forward(ar: _MpModel, min_atom: int, phi: list, stop: int) -> list:
+    """Extend ``phi`` in place to phi(0..stop) by the forward recurrence
+    stated in ``extend_ultimate``. Caller sets precision.
+
+    The recurrence is linear and homogeneous, so the same loop extends phi
+    itself and each coefficient sequence of its representation.
+    """
+    pivot = ar.ss[min_atom]
+    smax = len(ar.ss) - 1
+    s_rev = ar.ss[::-1]
+    y0, y1 = ar.y(0), ar.y(1)
+    for u in range(len(phi), stop + 1):
+        acc = phi[u - 4 + min_atom]
+        acc += (ar.x(u + min_atom - 1) * y0 + ar.x(u + min_atom - 2) * y1) * phi[1]
+        c2 = ar.x(u + min_atom - 2) * y0
+        if u == 2:
+            # scenarios that extend from u = 2 all have y_0 = 0
+            if c2 != 0:
+                raise NumericalError("phi(2) required as an initial value for this model")
+        else:
+            acc += c2 * phi[2]
+        lo = max(1, u + min_atom - smax)
+        # s_rev[smax - u - m* + k] = s_{u+m*-k} for k = lo..u-1
+        tail = mp.fdot(s_rev[smax - u - min_atom + lo : smax - min_atom], phi[lo:u])
+        phi.append((acc - tail) / pivot)
+    return phi
+
+
+def _free_indices(tag: CaseTag) -> tuple[int, ...]:
+    """The phi indices each case solves for; the head fills in the rest."""
+    if tag.kind == CaseKind.A:
+        return (0, 1, 2)
+    if tag.kind == CaseKind.B:
+        return (0, 1)
+    # case C: phi(0) = 0 identically in s.3 (the first claim is at least 2)
+    return (1,) if tag.scenario == "s.3" else (0,)
+
+
+def _head(tag: CaseTag, ar: _MpModel, free, margin) -> list:
+    """phi(0..j) from the free values, with phi(j) from the constraint
+
+        phi(0) + (X~(2) y_0 + X~(1) y_1 + S(2)) phi(1)
+               + (X~(1) y_0 + S(1)) phi(2) + S(0) phi(3) = margin
+
+    where X~ is the tail of x and S the cdf of s. Here j is one past the
+    last free index: 3 in case A, 2 in case B and C s.3, 1 in C s.1/s.2;
+    the constraint's coefficients beyond j vanish in each case, and the
+    pivot at j is positive: s_0 in A, s_1 + X~(1) y_0 in B, s_2 + X~(1) y_1
+    in C s.1/s.2, y_0 in C s.3.
+    """
+    row = [
+        mp.mpf(1),
+        ar.s_cdf(2) + ar.x_tail(2) * ar.y(0) + ar.x_tail(1) * ar.y(1),
+        ar.s_cdf(1) + ar.x_tail(1) * ar.y(0),
+        ar.s_cdf(0),
+    ]
+    idx = _free_indices(tag)
+    j = idx[-1] + 1
+    phi = [mp.mpf(0)] * j
+    for i, v in zip(idx, free):
+        phi[i] = v
+    phi.append((margin - mp.fdot(row[:j], phi)) / row[j])
+    return phi
 
 
 # ---- coefficient sequences ----
@@ -123,100 +191,6 @@ class SequenceSet:
     precision_bits: int
 
 
-def _build_case_a(ar: _MpModel, n_max: int):
-    s0 = ar.ss[0]
-    one, zero = mp.mpf(1), mp.mpf(0)
-    head1 = -(ar.s_cdf(2) + ar.x_tail(2) * ar.y(0) + ar.x_tail(1) * ar.y(1)) / s0
-    head2 = -(ar.s_cdf(1) + ar.x_tail(1) * ar.y(0)) / s0
-    a = [one, zero, zero, -1 / s0]
-    b = [zero, one, zero, head1]
-    g = [zero, zero, one, head2]
-    d = [zero, zero, zero, 1 / s0]
-    smax = len(ar.ss) - 1
-    for n in range(4, n_max + 1):
-        ca = cb = cg = cd = mp.mpf(0)
-        for k in range(max(1, n - smax), n):
-            w = ar.ss[n - k]
-            ca += w * a[k]
-            cb += w * b[k]
-            cg += w * g[k]
-            cd += w * d[k]
-        a.append((a[n - 4] - ca) / s0)
-        b.append((b[n - 4] - cb + ar.x(n - 1) * ar.y(0) + ar.x(n - 2) * ar.y(1)) / s0)
-        g.append((g[n - 4] - cg + ar.x(n - 2) * ar.y(0)) / s0)
-        d.append((d[n - 4] - cd) / s0)
-    return a, b, g, d
-
-
-def _build_case_b(ar: _MpModel, n_max: int):
-    # Pivot of the head identity: s_1 + (1 - X(1)) y_0, which reduces to
-    # y_0 + x_0 y_1 > 0 whenever s_0 = 0 < s_1.
-    s1 = ar.ss[1]
-    den = s1 + ar.x_tail(1) * ar.y(0)
-    one, zero = mp.mpf(1), mp.mpf(0)
-    a = [one, zero, -1 / den]
-    b = [zero, one, -(ar.s_cdf(2) + ar.x_tail(2) * ar.y(0) + ar.x_tail(1) * ar.y(1)) / den]
-    d = [zero, zero, 1 / den]
-    smax = len(ar.ss) - 1
-    y0, y1 = ar.y(0), ar.y(1)
-    # Substituting the representation into the forward recurrence
-    # phi(n) = (phi(n-3) + (x_n y_0 + x_{n-1} y_1) phi(1) + x_{n-1} y_0 phi(2)
-    #           - sum_{k=1}^{n-1} s_{n+1-k} phi(k)) / s_1
-    # carries each sequence's own lagged term (index n-3) and routes the
-    # phi(2) coefficient through this sequence set's own n=2 entries.
-    for n in range(3, n_max + 1):
-        ca = cb = cd = mp.mpf(0)
-        for k in range(max(1, n + 1 - smax), n):
-            w = ar.ss[n + 1 - k]
-            ca += w * a[k]
-            cb += w * b[k]
-            cd += w * d[k]
-        lead = ar.x(n - 1) * y0
-        a.append((a[n - 3] - ca + lead * a[2]) / s1)
-        b.append((b[n - 3] - cb + ar.x(n) * y0 + ar.x(n - 1) * y1 + lead * b[2]) / s1)
-        d.append((d[n - 3] - cd + lead * d[2]) / s1)
-    return a, b, d
-
-
-def _build_case_c12(ar: _MpModel, n_max: int):
-    s2 = ar.ss[2]
-    den = ar.x_tail(1) * ar.y(1) + s2
-    a = [mp.mpf(1), -1 / den]
-    d = [mp.mpf(0), 1 / den]
-    smax = len(ar.ss) - 1
-    y1 = ar.y(1)
-    for n in range(2, n_max + 1):
-        ca = cd = mp.mpf(0)
-        for k in range(max(1, n + 2 - smax), n):
-            w = ar.ss[n + 2 - k]
-            ca += w * a[k]
-            cd += w * d[k]
-        a.append((a[n - 2] - ca + ar.x(n) * y1 * a[1]) / s2)
-        d.append((d[n - 2] - cd + ar.x(n) * y1 * d[1]) / s2)
-    return a, d
-
-
-def _build_case_c3(ar: _MpModel, n_max: int):
-    # Scenario s.3: phi(0) = 0 (the first claim is at least 2), so the
-    # representation runs over phi(1) and the margin only. Index 0 entries
-    # are stored as zeros for alignment.
-    s2 = ar.ss[2]
-    y0 = ar.y(0)
-    zero = mp.mpf(0)
-    a = [zero, mp.mpf(1), -(y0 + ar.y(1)) / y0]
-    d = [zero, zero, 1 / y0]
-    smax = len(ar.ss) - 1
-    for n in range(3, n_max + 1):
-        ca = cd = mp.mpf(0)
-        for k in range(max(1, n + 2 - smax), n):
-            w = ar.ss[n + 2 - k]
-            ca += w * a[k]
-            cd += w * d[k]
-        a.append((a[n - 2] - ca + (ar.x(n + 1) - ar.x(n)) * y0) / s2)
-        d.append((d[n - 2] - cd + ar.x(n)) / s2)
-    return a, d
-
-
 def build_sequences(
     model: ModelSpec,
     tag: CaseTag | None = None,
@@ -225,9 +199,11 @@ def build_sequences(
 ) -> SequenceSet:
     """Generate the representation coefficients up to index n_max.
 
-    The working precision starts at max(requested, growth estimate) and is
-    raised and the build repeated if the realized magnitudes get within 64
-    bits of the budget.
+    Each sequence is the forward recurrence run from the head of one unit
+    vector over the free values (margin 0), or of the zero vector with
+    margin 1. The working precision starts at max(requested, growth
+    estimate) and is raised and the build repeated if the realized
+    magnitudes get within 64 bits of the budget.
     """
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
@@ -237,27 +213,16 @@ def build_sequences(
     if n_max < 4:
         raise InvalidModelError("n_max must be at least 4")
 
+    free = _free_indices(tag)
     bits = max(precision_bits or DEFAULT_PRECISION_BITS,
                _estimate_bits(model, tag.min_s_atom, n_max))
     for _ in range(4):
         with mp.workprec(bits):
             ar = _MpModel(model)
-            if tag.kind == CaseKind.A:
-                a, b, g, d = _build_case_a(ar, n_max)
-                seqs = (a, b, g, d)
-            elif tag.kind == CaseKind.B:
-                a, b, d = _build_case_b(ar, n_max)
-                g = None
-                seqs = (a, b, d)
-            elif tag.scenario in ("s.1", "s.2"):
-                a, d = _build_case_c12(ar, n_max)
-                b = g = None
-                seqs = (a, d)
-            else:
-                c1, d = _build_case_c3(ar, n_max)
-                a = g = None
-                b = c1
-                seqs = (c1, d)
+            zero, one = mp.mpf(0), mp.mpf(1)
+            heads = [_head(tag, ar, [one if i == k else zero for k in free], zero) for i in free]
+            heads.append(_head(tag, ar, [zero] * len(free), one))
+            seqs = [_forward(ar, tag.min_s_atom, h, n_max) for h in heads]
         top_mag = max((mp.mag(v) for seq in seqs for v in seq if v != 0), default=0)
         if top_mag <= bits - 64:
             break
@@ -265,13 +230,14 @@ def build_sequences(
     else:
         raise NumericalError("coefficient magnitudes kept outrunning the precision budget")
 
+    coeffs = dict(zip(free, seqs))
     return SequenceSet(
         tag=tag,
         n_max=n_max,
-        coeff_phi0=a,
-        coeff_phi1=b,
-        coeff_phi2=g,
-        coeff_margin=d,
+        coeff_phi0=coeffs.get(0),
+        coeff_phi1=coeffs.get(1),
+        coeff_phi2=coeffs.get(2),
+        coeff_margin=seqs[-1],
         precision_bits=bits,
     )
 
@@ -283,8 +249,9 @@ def build_sequences(
 class InitialValues:
     """Solved phi at the low indices each case needs to recurse forward.
 
-    ``delta`` is the largest entrywise difference between the solves at
-    the accepted index and one index lower, kept as an error estimate.
+    ``delta`` is the largest difference in the solved free values between
+    the solves at the accepted index and one index lower, kept as an error
+    estimate.
     """
 
     values: dict[int, float]
@@ -295,91 +262,39 @@ class InitialValues:
     values_mp: dict = field(repr=False, default_factory=dict)
 
 
-def _det3(m):
+def _det(rows):
+    """Determinant of a 1x1, 2x2 or 3x3 matrix by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
     )
 
 
-def _cramer3(m, rhs, n):
-    det = _det3(m)
-    if det == 0:
-        raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
-    sol = []
-    for j in range(3):
-        mj = [row[:] for row in m]
-        for i in range(3):
-            mj[i][j] = rhs[i]
-        sol.append(_det3(mj) / det)
-    return sol, det
-
-
-def _cramer2(m, rhs, n):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    if det == 0:
-        raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
-    x0 = (rhs[0] * m[1][1] - m[0][1] * rhs[1]) / det
-    x1 = (m[0][0] * rhs[1] - rhs[0] * m[1][0]) / det
-    return [x0, x1], det
-
-
 def _solve_at(seqs: SequenceSet, ar: _MpModel, n: int):
-    """Solve the vanished-difference system at index n. Caller sets precision."""
-    m = ar.margin
+    """Solve the vanished-difference system at index n by Cramer's rule.
+
+    Returns the head phi(0..j) and the determinant. Caller sets precision.
+    """
     tag = seqs.tag
-    a, b, g, d = seqs.coeff_phi0, seqs.coeff_phi1, seqs.coeff_phi2, seqs.coeff_margin
-
-    if tag.kind == CaseKind.A:
-        mat = [[a[n + i] - a[n], b[n + i] - b[n], g[n + i] - g[n]] for i in (1, 2, 3)]
-        rhs = [-(d[n + i] - d[n]) * m for i in (1, 2, 3)]
-        (phi0, phi1, phi2), det = _cramer3(mat, rhs, n)
-        return {0: phi0, 1: phi1, 2: phi2}, det
-
-    if tag.kind == CaseKind.B:
-        mat = [[a[n + i] - a[n], b[n + i] - b[n]] for i in (1, 2)]
-        rhs = [-(d[n + i] - d[n]) * m for i in (1, 2)]
-        (phi0, phi1), det = _cramer2(mat, rhs, n)
-        return {0: phi0, 1: phi1}, det
-
-    if tag.scenario in ("s.1", "s.2"):
-        diff = a[n + 1] - a[n]
-        if diff == 0:
-            raise SingularSystemError(f"coefficient difference vanished at n={n}", n=n, determinant=0.0)
-        phi0 = -(d[n + 1] - d[n]) * m / diff
-        phi1 = a[1] * phi0 + d[1] * m
-        return {0: phi0, 1: phi1}, diff
-
-    # scenario s.3: phi(0) = 0; sequences multiply phi(1)
-    diff = b[n + 1] - b[n]
-    if diff == 0:
-        raise SingularSystemError(f"coefficient difference vanished at n={n}", n=n, determinant=0.0)
-    phi1 = -(d[n + 1] - d[n]) * m / diff
-    phi2 = b[2] * phi1 + d[2] * m
-    return {0: mp.mpf(0), 1: phi1, 2: phi2}, diff
-
-
-def _complete_initials(ar: _MpModel, tag: CaseTag, vals: dict) -> dict:
-    """Add the remaining initial index the forward recurrence needs."""
-    m = ar.margin
-    if tag.kind == CaseKind.A:
-        # mass-balance constraint solved for phi(3)
-        phi3 = (
-            m
-            - vals[0]
-            - (ar.s_cdf(2) + ar.x_tail(2) * ar.y(0) + ar.x_tail(1) * ar.y(1)) * vals[1]
-            - (ar.s_cdf(1) + ar.x_tail(1) * ar.y(0)) * vals[2]
-        ) / ar.ss[0]
-        return {**vals, 3: phi3}
-    if tag.kind == CaseKind.B:
-        phi2 = (
-            m
-            - vals[0]
-            - (ar.s_cdf(2) + ar.x_tail(2) * ar.y(0) + ar.x_tail(1) * ar.y(1)) * vals[1]
-        ) / (ar.ss[1] + ar.x_tail(1) * ar.y(0))
-        return {**vals, 2: phi2}
-    return dict(vals)
+    by_index = {0: seqs.coeff_phi0, 1: seqs.coeff_phi1, 2: seqs.coeff_phi2}
+    cols = [by_index[i] for i in _free_indices(tag)]
+    d = seqs.coeff_margin
+    steps = range(1, len(cols) + 1)
+    mat = [[c[n + i] - c[n] for c in cols] for i in steps]
+    rhs = [-(d[n + i] - d[n]) * ar.margin for i in steps]
+    det = _det(mat)
+    if det == 0:
+        raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
+    sol = [
+        _det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
+        for j in range(len(cols))
+    ]
+    return _head(tag, ar, sol, ar.margin), det
 
 
 def _solve_case_d(model: ModelSpec, tag: CaseTag, precision_bits: int | None) -> InitialValues:
@@ -435,18 +350,17 @@ def solve_initials(
         seqs = build_sequences(model, tag, n_max=n + 3, precision_bits=precision_bits)
         with mp.workprec(seqs.precision_bits):
             ar = _MpModel(model)
-            vals, det = _solve_at(seqs, ar, n)
-            vals_lo, _ = _solve_at(seqs, ar, n - 1)
-            delta = max(abs(float(vals[k] - vals_lo[k])) for k in vals)
+            head, det = _solve_at(seqs, ar, n)
+            head_lo, _ = _solve_at(seqs, ar, n - 1)
+            delta = max(abs(float(head[i] - head_lo[i])) for i in _free_indices(tag))
             if delta <= SOLVE_AGREE_TOL:
-                full = _complete_initials(ar, tag, vals)
                 return InitialValues(
-                    values={k: float(v) for k, v in full.items()},
+                    values={k: float(v) for k, v in enumerate(head)},
                     n_solve=n,
                     determinant=float(det),
                     delta=delta,
                     precision_bits=seqs.precision_bits,
-                    values_mp=full,
+                    values_mp=dict(enumerate(head)),
                 )
         if n >= N_SOLVE_CAP:
             raise NumericalError(
@@ -467,7 +381,8 @@ def extend_ultimate(
 ) -> np.ndarray:
     """Extend solved initial values to phi(0..u_max) by the forward recurrence.
 
-    Rearranged around the smallest positive s atom m*:
+    This is the balance recurrence rearranged around the smallest positive
+    s atom m*, the same one that generates the coefficient sequences:
 
         s_{m*} phi(u) = phi(u - 4 + m*)
                         + (x_{u+m*-1} y_0 + x_{u+m*-2} y_1) phi(1)
@@ -491,31 +406,17 @@ def extend_ultimate(
     min_atom = next((u for u in range(4) if s.p(u) > 0.0), None)
     if min_atom is None:
         raise InvalidModelError("model has no s atom below 4")
-    if top < 3 - min_atom:
-        raise InvalidModelError(f"need initial values up to index {3 - min_atom}")
+    # every step reads phi(1), and phi(u - 4 + m*) for u > top
+    need = max(1, 3 - min_atom)
+    if top < need:
+        raise InvalidModelError(f"need initial values up to index {need}")
 
     bits = max(precision_bits or DEFAULT_PRECISION_BITS,
                _estimate_bits(model, min_atom, u_max))
     with mp.workprec(bits):
-        ar = _MpModel(model)
-        pivot = ar.ss[min_atom]
-        smax = len(ar.ss) - 1
-        phi = [given.get(i, mp.mpf(0)) for i in range(min(top, u_max) + 1)]
-        for u in range(top + 1, u_max + 1):
-            acc = phi[u - 4 + min_atom]
-            acc += (ar.x(u + min_atom - 1) * ar.y(0) + ar.x(u + min_atom - 2) * ar.y(1)) * phi[1]
-            c2 = ar.x(u + min_atom - 2) * ar.y(0)
-            if u == 2:
-                # scenarios that extend from u = 2 all have y_0 = 0
-                if c2 != 0:
-                    raise NumericalError("phi(2) required as an initial value for this model")
-            else:
-                acc += c2 * phi[2]
-            tail = mp.mpf(0)
-            for k in range(max(1, u + min_atom - smax), u):
-                tail += ar.ss[u + min_atom - k] * phi[k]
-            phi.append((acc - tail) / pivot)
-        return np.array([float(v) for v in phi[: u_max + 1]])
+        phi = [given[i] for i in range(min(top, u_max) + 1)]
+        _forward(_MpModel(model), min_atom, phi, u_max)
+        return np.array([float(v) for v in phi])
 
 
 # ---- residual checks, oracles, collapsed values ----

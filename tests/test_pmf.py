@@ -14,6 +14,7 @@ from ruinwalk import (
     point_mass,
     summarize,
 )
+from ruinwalk.cli import main
 
 
 def test_from_probs_basic():
@@ -31,6 +32,20 @@ def test_from_probs_rejects_bad_sum():
         from_probs([0.5, 0.6])
     with pytest.raises(InvalidModelError):
         from_probs([0.5, 0.4])  # sums to 0.9
+
+
+def test_from_probs_sum_tolerance():
+    # any sum within EXPLICIT_SUM_TOL = 1e-9 is accepted; an excess is scaled away
+    for eps in (1e-10, -1e-10):
+        p = from_probs([0.5, 0.5 + eps])
+        assert abs(math.fsum(p.probs) + p.mass_defect - 1.0) <= 1e-15
+        assert p.mass_defect == pytest.approx(max(0.0, -eps), abs=1e-15)
+    for eps in (2e-9, -2e-9):
+        with pytest.raises(InvalidModelError):
+            from_probs([0.5, 0.5 + eps])
+    # lists a Pmf already accepts keep their atoms bit for bit
+    for atoms in ([0.1] * 10, [1 / 3] * 3, [0.25, 0.5, 0.25], [0.5, 0.4999999999]):
+        assert from_probs(atoms).probs.tolist() == atoms
 
 
 def test_from_probs_rejects_negative_and_empty():
@@ -129,9 +144,19 @@ def test_parse_malformed():
 
 def test_parse_file(tmp_path):
     f = tmp_path / "claims.txt"
-    f.write_text("0.25\n0.5\n\n0.25\n")
+    f.write_text("0.25\n0.5\n0.25\n\n")
     p = parse_pmf_spec(f"@{f}")
     assert p.probs.tolist() == [0.25, 0.5, 0.25]
+
+
+def test_parse_file_rejects_interior_blank_line(tmp_path, capsys):
+    # line k is atom k, so a blank line would shift every later atom
+    f = tmp_path / "claims.txt"
+    f.write_text("0.25\n\n0.5\n0.25\n")
+    with pytest.raises(InvalidModelError, match="blank line 2"):
+        parse_pmf_spec(f"@{f}")
+    assert main(["classify", "--x", f"@{f}", "--y", "dpois:1,0"]) == 2
+    assert "blank line" in capsys.readouterr().err
 
 
 def test_summarize():

@@ -72,6 +72,70 @@ def test_representation_identity_case_c_s3():
     _check_representation(random_case_model(rng, "C", "s.3"))
 
 
+def _route_model(request, route):
+    if route in ("A", "B", "s.1"):
+        return request.getfixturevalue({"A": "ex1", "B": "ex2", "s.1": "ex3"}[route])
+    return random_case_model(np.random.default_rng(2014), "C", route)
+
+
+@pytest.mark.parametrize("route", ["A", "B", "s.1", "s.2", "s.3"])
+def test_sequences_satisfy_master_recurrence_and_constraint(request, route):
+    """Any combination L(n) = sum_i c_i(n) v_i + d(n) m of the sequences
+    obeys the master recurrence and meets the constraint with margin m.
+
+    Both equations are written out here from the atoms, not taken from
+    the solver, so this checks the sequences without going through the
+    forward-recurrence kernel that produced them.
+    """
+    model = _route_model(request, route)
+    n_max = 40
+    seqs = build_sequences(model, n_max=n_max)
+    bits = seqs.precision_bits
+    rng = np.random.default_rng(len(route))
+    with mp.workprec(bits):
+        tol = mp.mpf(2) ** -(bits - 64)
+        x = [mp.mpf(float(v)) for v in model.x.probs]
+        y = [mp.mpf(float(v)) for v in model.y.probs]
+        s = [mp.mpf(float(v)) for v in model.s.probs]
+
+        def atom(seq, i):
+            return seq[i] if 0 <= i < len(seq) else mp.mpf(0)
+
+        cols = [(c, mp.mpf(rng.uniform(-1, 1)))
+                for c in (seqs.coeff_phi0, seqs.coeff_phi1, seqs.coeff_phi2) if c is not None]
+        m = mp.mpf(rng.uniform(0.1, 1))
+        L = [mp.fsum([c[n] * v for c, v in cols] + [seqs.coeff_margin[n] * m])
+             for n in range(n_max + 1)]
+
+        def holds(lhs, terms, rel):
+            scale = max([abs(lhs)] + [abs(t) for t in terms])
+            return abs(lhs - mp.fsum(terms)) <= rel * scale
+
+        y0, y1 = atom(y, 0), atom(y, 1)
+        for u in range(n_max - 3):
+            terms = [L[k] * atom(s, u + 4 - k) for k in range(1, u + 5)]
+            terms += [-(atom(x, u + 3) * y0 + atom(x, u + 2) * y1) * L[1],
+                      -atom(x, u + 2) * y0 * L[2]]
+            # In C s.3 the right side at u = 0 vanishes only through the
+            # atom identities s_2 = x_2 y_0 and s_3 = x_3 y_0 + x_2 y_1, which
+            # the float64 atoms of s meet to rounding; L(0) = 0 exactly.
+            if route == "s.3" and u == 0:
+                assert L[0] == 0
+                assert holds(L[0], terms, mp.mpf(2) ** -50), f"u={u}"
+                continue
+            assert holds(L[u], terms, tol), f"u={u}"
+
+        x_tail = [1 - mp.fsum(x[: k + 1]) for k in range(3)]
+        s_cdf = [mp.fsum(s[: k + 1]) for k in range(3)]
+        constraint = [
+            L[0],
+            (x_tail[2] * y0 + x_tail[1] * y1 + s_cdf[2]) * L[1],
+            (x_tail[1] * y0 + s_cdf[1]) * L[2],
+            s_cdf[0] * L[3],
+        ]
+        assert holds(m, constraint, tol)
+
+
 def test_sequences_reject_wrong_cases(ex4, ex5):
     with pytest.raises(InvalidModelError):
         build_sequences(ex4, n_max=20)  # case D is closed form
@@ -125,9 +189,11 @@ def test_singular_system_error_fields():
 # --- forward extension ---
 
 
-def test_extend_requires_contiguous_initials(ex1):
+def test_extend_requires_contiguous_initials(ex1, ex4):
     with pytest.raises(InvalidModelError):
         extend_ultimate(ex1, {0: 0.4, 2: 0.7}, u_max=10)
+    with pytest.raises(InvalidModelError):
+        extend_ultimate(ex4, {0: 0.0}, u_max=10)  # case D still needs phi(1)
 
 
 def test_extension_monotone_and_bounded(ex1, ex2, ex3):
