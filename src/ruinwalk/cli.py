@@ -16,9 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
+
+from mpmath import mp
 
 from .conjectures import determinant_trace
 from .errors import InvalidModelError, NumericalError, PrecisionError
@@ -57,6 +60,16 @@ def _fmt_prob(value: float, digits: int, raw: bool) -> str:
     if "." in s:
         s = s.rstrip("0").rstrip(".")
     return s if s else "0"
+
+
+def _fmt_det(value, raw: bool) -> str:
+    """A determinant as '%.6e' text (repr in raw mode). One past float64's
+    exponent range, which float() would turn into inf or 0, prints with
+    the same digits from its mpf."""
+    v = float(value)
+    if math.isfinite(v) and (v != 0 or value == 0):
+        return repr(v) if raw else f"{v:.6e}"
+    return mp.nstr(value, 17) if raw else mp.nstr(value, 7, strip_zeros=False)
 
 
 def _emit_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -220,7 +233,7 @@ def _cmd_ultimate(ns) -> int:
     header = ["T\\u"] + [str(u) for u in us]
     rows = [["inf"] + [_fmt_prob(result.phi[u], ns.digits, ns.raw) for u in us]]
     print(_emit_table(header, rows, ns.format))
-    det = "none" if result.determinant is None else f"{result.determinant:.6e}"
+    det = "none" if result.determinant is None else _fmt_det(result.determinant, raw=False)
     bits = "none" if result.precision_bits is None else str(result.precision_bits)
     for text in (
         f"case: {_case_str(result.case)}",
@@ -274,10 +287,7 @@ def _cmd_conjecture(ns) -> int:
         model, which=ns.which, n_max=ns.n_max, precision_bits=_resolve_bits(ns)
     )
     header = ["n", "D_n"]
-    rows = [
-        [str(n), repr(float(v)) if ns.raw else f"{v:.6e}"]
-        for n, v in enumerate(trace.values)
-    ]
+    rows = [[str(n), _fmt_det(v, ns.raw)] for n, v in enumerate(trace.values)]
     print(_emit_table(header, rows, ns.format))
     for text in (
         f"min_abs: {trace.min_abs:.6e}",

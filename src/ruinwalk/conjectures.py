@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 from mpmath import mp
 
 from .errors import InvalidModelError
@@ -41,17 +40,16 @@ from .ultimate import SequenceSet, _det, build_sequences
 class DeterminantTrace:
     """Signed determinants det M_n for n = 0..n_max, with flags.
 
-    ``values`` holds float64 conversions for display (entries can reach
-    inf under steep coefficient growth; all checks run in extended
-    precision before conversion). ``violations`` pairs each breached
-    index with a description. ``abs_monotone`` reports whether |D_n| is
-    nondecreasing along the chain stride (2 for trace 1's parity
+    ``values`` holds the determinants as mpf, whose exponents outrun
+    float64 under steep coefficient growth. ``violations`` pairs each
+    breached index with a description. ``abs_monotone`` reports whether
+    |D_n| is nondecreasing along the chain stride (2 for trace 1's parity
     classes, 1 for trace 2), a convention-free summary.
     """
 
     which: int
     n_max: int
-    values: np.ndarray
+    values: list
     min_abs: float
     abs_monotone: bool
     zero_indices: list[int]
@@ -85,20 +83,6 @@ def _suspicious(det, rows, bits: int) -> bool:
     return mp.mag(det) < dim * top - (bits - 48)
 
 
-def _trace_at(model: ModelSpec, tag, n_max: int, bits: int | None):
-    seqs = build_sequences(model, tag, n_max=n_max + 3, precision_bits=bits)
-    with mp.workprec(seqs.precision_bits):
-        dets = []
-        shaky = False
-        for n in range(n_max + 1):
-            rows = difference_matrix(seqs, n)
-            d = _det(rows)
-            dets.append(d)
-            if _suspicious(d, rows, seqs.precision_bits):
-                shaky = True
-    return dets, shaky, seqs.precision_bits
-
-
 def determinant_trace(
     model: ModelSpec,
     which: int,
@@ -108,9 +92,9 @@ def determinant_trace(
     """Compute det M_n for n = 0..n_max and check the conjectured chains.
 
     ``which`` selects the system: 1 for the case A 3x3 matrix, 2 for the
-    case B 2x2 matrix; the model must classify accordingly. If any
-    determinant looks like cancellation noise the whole trace is rebuilt
-    once at doubled precision, then recorded as found.
+    case B 2x2 matrix; the model must classify accordingly. The trace runs
+    once at the sequences' precision budget; if any determinant still looks
+    like cancellation noise there, that is recorded as a violation.
     """
     if which not in (1, 2):
         raise InvalidModelError("which must be 1 (case A) or 2 (case B)")
@@ -123,16 +107,18 @@ def determinant_trace(
     if n_max < 1:
         raise InvalidModelError("n_max must be at least 1")
 
-    dets, shaky, bits = _trace_at(model, tag, n_max, precision_bits)
-    if shaky:
-        dets, still_shaky, bits = _trace_at(model, tag, n_max, 2 * bits)
-    else:
-        still_shaky = False
-
+    seqs = build_sequences(model, tag, n_max=n_max + 3, precision_bits=precision_bits)
+    bits = seqs.precision_bits
     stride = 2 if which == 1 else 1
     violations: list[tuple[int, str]] = []
     zero_indices: list[int] = []
     with mp.workprec(bits):
+        dets = []
+        shaky = False
+        for n in range(n_max + 1):
+            rows = difference_matrix(seqs, n)
+            dets.append(_det(rows))
+            shaky = shaky or _suspicious(dets[-1], rows, bits)
         for n, d in enumerate(dets):
             if d == 0:
                 zero_indices.append(n)
@@ -159,17 +145,16 @@ def determinant_trace(
         monotone = all(
             abs(dets[n]) <= abs(dets[n + stride]) for n in range(len(dets) - stride)
         )
-        if still_shaky:
+        if shaky:
             violations.append(
                 (-1, f"some determinants could not be certified nonzero at {bits} bits")
             )
         min_abs = float(min(abs(d) for d in dets)) if dets else float("inf")
-        values = np.array([float(d) for d in dets])
 
     return DeterminantTrace(
         which=which,
         n_max=n_max,
-        values=values,
+        values=dets,
         min_abs=min_abs,
         abs_monotone=monotone,
         zero_indices=zero_indices,

@@ -85,38 +85,14 @@ class CaseTag:
     degenerate_step: int | None = None
 
 
-def _scenario_c(x: Pmf, y: Pmf) -> str:
-    if x.p(0) == 0.0 and y.p(0) == 0.0:
-        if not (x.p(1) > 0 and y.p(1) > 0):
-            raise InvalidModelError("inconsistent case C atoms")
-        return "s.1"
-    if x.p(0) > 0:
-        # s_0 = s_1 = 0 forces y_0 = y_1 = 0, so s_2 = x_0 y_2.
-        if not (y.p(0) == 0 and y.p(1) == 0 and y.p(2) > 0):
-            raise InvalidModelError("inconsistent case C atoms")
-        return "s.2"
-    # x_0 = 0 < y_0 forces x_1 = 0, so s_2 = x_2 y_0.
-    if not (y.p(0) > 0 and x.p(1) == 0 and x.p(2) > 0):
-        raise InvalidModelError("inconsistent case C atoms")
-    return "s.3"
-
-
-def _scenario_d(x: Pmf, y: Pmf) -> str:
-    if x.p(0) > 0:
-        if not (y.p(0) == 0 and y.p(1) == 0 and y.p(2) == 0 and y.p(3) > 0):
-            raise InvalidModelError("inconsistent case D atoms")
-        return "v.4"
-    if y.p(0) > 0:
-        if not (x.p(1) == 0 and x.p(2) == 0 and x.p(3) > 0):
-            raise InvalidModelError("inconsistent case D atoms")
-        return "v.3"
-    if x.p(1) > 0:
-        if not (y.p(1) == 0 and y.p(2) > 0):
-            raise InvalidModelError("inconsistent case D atoms")
-        return "v.2"
-    if not (y.p(1) > 0 and x.p(2) > 0):
-        raise InvalidModelError("inconsistent case D atoms")
-    return "v.1"
+# Scenario of cases C and D by the atom pair (i, m* - i) whose product
+# x_i y_{m*-i} carries the first positive s atom s_{m*}. In exact
+# arithmetic that pair alone is positive; in float64 an underflowed
+# product x_i y_j (i + j < m*) can leave two, and the carrier is the larger.
+_SCENARIOS = {
+    2: {(1, 1): "s.1", (0, 2): "s.2", (2, 0): "s.3"},
+    3: {(2, 1): "v.1", (1, 2): "v.2", (3, 0): "v.3", (0, 3): "v.4"},
+}
 
 
 def _degenerate_pattern(model: ModelSpec) -> int | None:
@@ -164,6 +140,7 @@ def classify(model: ModelSpec) -> CaseTag:
         return CaseTag(CaseKind.A, min_s_atom=0)
     if min_atom == 1:
         return CaseTag(CaseKind.B, min_s_atom=1)
-    if min_atom == 2:
-        return CaseTag(CaseKind.C, scenario=_scenario_c(model.x, model.y), min_s_atom=2)
-    return CaseTag(CaseKind.D, scenario=_scenario_d(model.x, model.y), min_s_atom=3)
+    pairs = _SCENARIOS[min_atom]
+    carrier = max(pairs, key=lambda ij: model.x.p(ij[0]) * model.y.p(ij[1]))
+    kind = CaseKind.C if min_atom == 2 else CaseKind.D
+    return CaseTag(kind, scenario=pairs[carrier], min_s_atom=min_atom)

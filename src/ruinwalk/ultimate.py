@@ -27,9 +27,11 @@ so differences phi(n + i) - phi(n) vanish at large n; the resulting small
 linear system (3x3, 2x2, or scalar depending on the case) is solved by
 Cramer's rule with the right-hand side set exactly to zero.
 The coefficient growth wipes out double precision long before n reaches
-useful values, so sequence generation and the solve run in extended
-precision (mpmath), with the bit budget scaled to the expected growth
-s_{m*}^{-n/(4-m*)}.
+useful values, so sequence generation, the solve and the extension run in
+extended precision (mpmath). One bit budget (``_budget``) serves all
+three: the growth rates of the recurrence's characteristic roots times the
+index, plus the cancellation Cramer's rule suffers between the dominant
+modes, plus 53 bits of float64 accuracy and a 64-bit guard.
 
 Two independent cross-checks live here too: ``boundary_oracle`` solves
 the balance equations as one dense float64 linear system with phi pinned
@@ -94,11 +96,25 @@ class _MpModel:
         return 1 - self.xcum[min(u, len(self.xcum) - 1)]
 
 
-def _estimate_bits(model: ModelSpec, min_atom: int, n: int) -> int:
-    """Bits needed to survive coefficient growth ~ s_{m*}^(-n/(4-m*))."""
-    pivot = model.s.p(min_atom)
-    per_index = math.log2(1.0 / pivot) / (4 - min_atom) if pivot < 1.0 else 0.0
-    return int(math.ceil(n * per_index)) + 96
+def _budget(model: ModelSpec, tag: CaseTag, n: int, floor: int | None) -> int:
+    """Working bits for coefficients and values up to index n.
+
+    Solutions z^n of the balance recurrence have
+    sum_j s_j z^(D-j) = z^(D-4), D = max(smax, 4), so each root z grows a
+    mode by g = log2|z| bits per index. The dominant mode sets the
+    magnitudes; Cramer's rule on the dim x dim difference system (dim as
+    in ``_free_indices``) then cancels the sum of (g_1 - g_j) over the
+    next dim - 1 modes. On top: 53 bits of float64 accuracy and a 64-bit
+    guard.
+    """
+    m = tag.min_s_atom
+    coeffs = np.zeros(max(model.s.support_max, 4) - m + 1)
+    coeffs[: model.s.support_max - m + 1] = model.s.probs[m:]
+    coeffs[4 - m] -= 1.0
+    g = np.sort(np.log2(np.abs(np.roots(np.trim_zeros(coeffs, "b")))))[::-1]
+    dim = len(_free_indices(tag))
+    per_index = g[0] + sum(g[0] - g[j] for j in range(1, dim))
+    return max(floor or DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
 
 
 # ---- the forward-recurrence kernel ----
@@ -201,9 +217,9 @@ def build_sequences(
 
     Each sequence is the forward recurrence run from the head of one unit
     vector over the free values (margin 0), or of the zero vector with
-    margin 1. The working precision starts at max(requested, growth
-    estimate) and is raised and the build repeated if the realized
-    magnitudes get within 64 bits of the budget.
+    margin 1, at the working precision ``_budget`` sets for n_max (never
+    below ``precision_bits``). If the realized magnitudes still get within
+    64 bits of that budget, NumericalError is raised.
     """
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
@@ -214,21 +230,18 @@ def build_sequences(
         raise InvalidModelError("n_max must be at least 4")
 
     free = _free_indices(tag)
-    bits = max(precision_bits or DEFAULT_PRECISION_BITS,
-               _estimate_bits(model, tag.min_s_atom, n_max))
-    for _ in range(4):
-        with mp.workprec(bits):
-            ar = _MpModel(model)
-            zero, one = mp.mpf(0), mp.mpf(1)
-            heads = [_head(tag, ar, [one if i == k else zero for k in free], zero) for i in free]
-            heads.append(_head(tag, ar, [zero] * len(free), one))
-            seqs = [_forward(ar, tag.min_s_atom, h, n_max) for h in heads]
-        top_mag = max((mp.mag(v) for seq in seqs for v in seq if v != 0), default=0)
-        if top_mag <= bits - 64:
-            break
-        bits = int(top_mag) + 160
-    else:
-        raise NumericalError("coefficient magnitudes kept outrunning the precision budget")
+    bits = _budget(model, tag, n_max, precision_bits)
+    with mp.workprec(bits):
+        ar = _MpModel(model)
+        zero, one = mp.mpf(0), mp.mpf(1)
+        heads = [_head(tag, ar, [one if i == k else zero for k in free], zero) for i in free]
+        heads.append(_head(tag, ar, [zero] * len(free), one))
+        seqs = [_forward(ar, tag.min_s_atom, h, n_max) for h in heads]
+    top_mag = max((mp.mag(v) for seq in seqs for v in seq if v != 0), default=0)
+    if top_mag > bits - 64:
+        raise NumericalError(
+            f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"
+        )
 
     coeffs = dict(zip(free, seqs))
     return SequenceSet(
@@ -256,7 +269,7 @@ class InitialValues:
 
     values: dict[int, float]
     n_solve: int
-    determinant: float | None
+    determinant: mp.mpf | None
     delta: float
     precision_bits: int
     values_mp: dict = field(repr=False, default_factory=dict)
@@ -298,7 +311,7 @@ def _solve_at(seqs: SequenceSet, ar: _MpModel, n: int):
 
 
 def _solve_case_d(model: ModelSpec, tag: CaseTag, precision_bits: int | None) -> InitialValues:
-    bits = max(precision_bits or DEFAULT_PRECISION_BITS, 128)
+    bits = _budget(model, tag, 0, precision_bits)
     with mp.workprec(bits):
         ar = _MpModel(model)
         m = ar.margin
@@ -357,7 +370,7 @@ def solve_initials(
                 return InitialValues(
                     values={k: float(v) for k, v in enumerate(head)},
                     n_solve=n,
-                    determinant=float(det),
+                    determinant=det,
                     delta=delta,
                     precision_bits=seqs.precision_bits,
                     values_mp=dict(enumerate(head)),
@@ -389,8 +402,10 @@ def extend_ultimate(
                         + x_{u+m*-2} y_0 phi(2)
                         - sum_{k=1}^{u-1} s_{u+m*-k} phi(k)
 
-    Values are computed in extended precision (the recurrence amplifies
-    roundoff geometrically) and emitted as float64.
+    Values are computed in extended precision, at the working precision
+    ``_budget`` sets for u_max (never below ``precision_bits``), because the
+    recurrence amplifies roundoff geometrically; they are emitted as
+    float64.
     """
     if isinstance(initials, InitialValues):
         given = dict(initials.values_mp) or {k: mp.mpf(v) for k, v in initials.values.items()}
@@ -402,17 +417,16 @@ def extend_ultimate(
     if sorted(given) != list(range(top + 1)):
         raise InvalidModelError("initial values must cover a contiguous range 0..j")
 
-    s = model.s
-    min_atom = next((u for u in range(4) if s.p(u) > 0.0), None)
-    if min_atom is None:
-        raise InvalidModelError("model has no s atom below 4")
+    tag = classify(model)
+    if tag.kind == CaseKind.NO_NET_PROFIT:
+        raise InvalidModelError("survival values with no net profit come from no_net_profit_values")
+    min_atom = tag.min_s_atom
     # every step reads phi(1), and phi(u - 4 + m*) for u > top
     need = max(1, 3 - min_atom)
     if top < need:
         raise InvalidModelError(f"need initial values up to index {need}")
 
-    bits = max(precision_bits or DEFAULT_PRECISION_BITS,
-               _estimate_bits(model, min_atom, u_max))
+    bits = _budget(model, tag, u_max, precision_bits)
     with mp.workprec(bits):
         phi = [given[i] for i in range(min(top, u_max) + 1)]
         _forward(_MpModel(model), min_atom, phi, u_max)
@@ -440,15 +454,16 @@ def residuals(model: ModelSpec, phi) -> Residuals:
     s, x, y = model.s, model.x, model.y
     y0, y1 = y.p(0), y.p(1)
 
-    worst = 0.0
-    for u in range(len(phi) - 4):
-        terms = [phi[k] * s.p(u + 4 - k) for k in range(1, u + 5)]
-        rhs = (
-            math.fsum(terms)
-            - (x.p(u + 3) * y0 + x.p(u + 2) * y1) * phi[1]
-            - x.p(u + 2) * y0 * phi[2]
-        )
-        worst = max(worst, abs(phi[u] - rhs))
+    n = len(phi) - 4
+    # balance sums sum_{k=1}^{u+4} phi(k) s_{u+4-k} for u = 0..n-1
+    balance = np.convolve(phi[1:], s.probs)[3 : n + 3]
+    xs = np.concatenate([x.probs, np.zeros(n + 4)])
+    rhs = (
+        balance
+        - (xs[3 : n + 3] * y0 + xs[2 : n + 2] * y1) * phi[1]
+        - xs[2 : n + 2] * y0 * phi[2]
+    )
+    worst = float(np.max(np.abs(phi[:n] - rhs)))
 
     lhs = math.fsum(
         [
@@ -545,7 +560,7 @@ class UltimateResult:
     margin: float
     n_solve: int
     precision_bits: int | None
-    determinant: float | None
+    determinant: mp.mpf | None
     initials_delta: float
     residual_master: float
     residual_constraint: float
@@ -580,7 +595,7 @@ def survival_ultimate(
     # never extend past the solve index: committed error grows along the
     # dominant coefficient mode once u approaches n_solve
     init = solve_initials(model, tag, n_solve=max(n_solve, u_max + 8), precision_bits=precision_bits)
-    phi = extend_ultimate(model, init, work_len, precision_bits=precision_bits)
+    phi = extend_ultimate(model, init, work_len, precision_bits=init.precision_bits)
     res = residuals(model, phi)
     return UltimateResult(
         phi=phi[: u_max + 1].copy(),

@@ -118,6 +118,22 @@ def test_conjecture_subcommand(capsys):
     assert code == 2
 
 
+def test_diagnostics_past_float_range(capsys):
+    # determinants from about n = 261 lie beyond float64's exponent range
+    code, out, _ = run(capsys, "conjecture", "--x", "dpois:1,0", "--y", "dpois:2,0",
+                       "--which", "1", "--n-max", "300", "--format", "csv")
+    assert code == 0
+    cells = [line.split(",")[1] for line in out.splitlines()[1:302]]
+    assert not any("inf" in c for c in cells)
+    assert float(cells[260]) == -1.134850e308
+    assert cells[261] == "1.713101e+309" and cells[300] == "-1.617012e+355"
+    code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
+                       "--u-max", "400", "--format", "csv")
+    assert code == 0
+    det = out.split("# determinant: ")[1].split()[0]
+    assert det.endswith("e+482")
+
+
 def test_verify_paper_table1(capsys):
     code, out, _ = run(capsys, "verify-paper", "--table", "1")
     assert code == 0

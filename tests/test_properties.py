@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from ruinwalk import (
@@ -63,6 +63,10 @@ def test_pmf_spec_roundtrip(ws):
 
 @given(weights, weights)
 @settings(max_examples=60, deadline=None)
+# x_0 y_{m*} underflows: the scenario follows the pair that carries s_{m*}
+@example([5e-324, 0, 1], [0, 1, 1])
+@example([1, 1], [0, 5e-324, 1])
+@example([0, 1, 1], [0, 5e-324, 1])
 def test_classification_partitions(wa, wb):
     m = ModelSpec(x=from_probs(_normalize(wa)), y=from_probs(_normalize(wb)))
     tag = classify(m)

@@ -16,6 +16,7 @@ from ruinwalk import (
     classify,
     extend_ultimate,
     from_probs,
+    make_displaced_poisson,
     net_profit_margin,
     no_net_profit_values,
     point_mass,
@@ -231,6 +232,18 @@ def test_residuals_detect_perturbation(ex1):
     assert dirty.master > clean.master + 0.001
 
 
+def test_residuals_match_termwise_sums(ex2):
+    phi = survival_ultimate(ex2, u_max=60).phi + np.random.default_rng(3).normal(0, 1e-3, 61)
+    s, x, y = ex2.s, ex2.x, ex2.y
+    worst = 0.0
+    for u in range(len(phi) - 4):
+        terms = [phi[k] * s.p(u + 4 - k) for k in range(1, u + 5)]
+        rhs = (math.fsum(terms) - (x.p(u + 3) * y.p(0) + x.p(u + 2) * y.p(1)) * phi[1]
+               - x.p(u + 2) * y.p(0) * phi[2])
+        worst = max(worst, abs(phi[u] - rhs))
+    assert residuals(ex2, phi).master == pytest.approx(worst, abs=64 * np.finfo(float).eps)
+
+
 def test_residuals_need_enough_values(ex1):
     with pytest.raises(InvalidModelError):
         residuals(ex1, np.ones(5))
@@ -244,6 +257,13 @@ def test_boundary_oracle_agrees(ex1, ex2, ex3, ex4):
         r = survival_ultimate(m, u_max=30)
         b = boundary_oracle(m, u_max=30)
         assert np.max(np.abs(r.phi - b)) < 1e-8
+    # far rows, one model per sequence route: A, B, C s.1, C s.2, C s.3
+    for (lx, dx), (ly, dy) in (((1, 0), (2, 0)), ((0.95, 1), (1.5, 0)), ((0.75, 1), (0.75, 1)),
+                               ((0.85, 0), (0.65, 2)), ((0.65, 2), (0.85, 0))):
+        m = ModelSpec(x=make_displaced_poisson(lx, dx), y=make_displaced_poisson(ly, dy))
+        r = survival_ultimate(m, u_max=600)
+        b = boundary_oracle(m, u_max=600, u_big=1500)
+        assert np.max(np.abs(r.phi - b)) < 1e-12, classify(m)
 
 
 def test_boundary_oracle_rejects_no_net_profit(ex5):
