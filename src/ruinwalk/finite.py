@@ -27,7 +27,12 @@ import numpy as np
 from .errors import InvalidModelError
 from .model import ModelSpec
 
-_MC_CHUNK = 65536  # trials per block; multiple of 4 keeps Philox counters aligned
+# Monte Carlo chunks: at most _MC_CHUNK trials and _MC_CHUNK_DOUBLES
+# uniforms (trials x horizon) each, so horizons up to 256 keep full
+# chunks. Chunk sizes stay multiples of 4, which keeps Philox counters
+# aligned.
+_MC_CHUNK = 65536
+_MC_CHUNK_DOUBLES = _MC_CHUNK * 256
 
 
 @dataclass(frozen=True)
@@ -163,9 +168,11 @@ def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McE
     """Monte Carlo survival estimate with counter-based, chunk-independent RNG.
 
     Trial i consumes uniforms at Philox stream positions [i*t, (i+1)*t),
-    so results depend only on (seed, trial index), not on chunking. Draws
-    landing beyond the retained mass count as non-survival, matching the
-    truncated-model semantics of survival_finite.
+    so results depend only on (seed, trial index), not on chunking. A chunk
+    holds its trials' uniforms, at most _MC_CHUNK_DOUBLES of them unless
+    the horizon alone exceeds a quarter of that. Draws landing beyond the
+    retained mass count as non-survival, matching the truncated-model
+    semantics of survival_finite.
     """
     if trials < 1:
         raise InvalidModelError("trials must be >= 1")
@@ -174,25 +181,24 @@ def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McE
     if seed < 0 or seed != int(seed):
         raise InvalidModelError("seed must be a nonnegative integer")
 
-    cdfs = []
-    sizes = []
-    for step in range(1, t + 1):
-        p = model.x if step % 2 == 1 else model.y
-        cdfs.append(np.cumsum(p.probs))
-        sizes.append(len(p.probs))
+    # period j + 1 draws from x when j is even, from y when odd
+    cdfs = (np.cumsum(model.x.probs), np.cumsum(model.y.probs))
 
+    chunk = min(_MC_CHUNK, max(4, _MC_CHUNK_DOUBLES // t // 4 * 4))
+    buf = np.empty((min(chunk, trials), t))
     survived = 0
-    for start in range(0, trials, _MC_CHUNK):
-        rows = min(_MC_CHUNK, trials - start)
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
         bit_gen = np.random.Philox(key=seed)
         # one Philox counter block is 4 doubles; start*t is a multiple of 4
         bit_gen.advance((start * t) // 4)
-        unif = np.random.Generator(bit_gen).random((rows, t))
+        unif = np.random.Generator(bit_gen).random(out=buf[:rows])
         surplus = np.full(rows, u, dtype=np.int64)
         alive = np.ones(rows, dtype=bool)
         for j in range(t):
-            idx = np.searchsorted(cdfs[j], unif[:, j], side="right")
-            beyond = idx >= sizes[j]
+            cdf = cdfs[j % 2]
+            idx = np.searchsorted(cdf, unif[:, j], side="right")
+            beyond = idx >= len(cdf)
             claims = np.where(beyond, 0, idx)
             surplus += 2 - claims
             alive &= ~beyond

@@ -9,6 +9,8 @@ never renormalized: the lost tail mass is carried explicitly in
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -141,22 +143,44 @@ def make_displaced_poisson(lam: float, shift: int, tail_tol: float = 1e-12) -> P
     if not (0 < tail_tol <= 1e-6):
         raise InvalidModelError(f"tail_tol must lie in (0, 1e-6], got {tail_tol!r}")
     shift = int(shift)
+    mode = math.floor(lam)
+    if mode > 10_000_000:
+        raise NumericalError(f"displaced Poisson support too long for lambda={lam}")
 
-    terms = []
-    term = math.exp(-lam)
-    j = 0
-    while True:
-        terms.append(term)
-        if 1.0 - math.fsum(terms) <= tail_tol:
+    # Weights relative to the mode, w_j = p_j / p_mode, by the ratios
+    # p_j / p_{j-1} = lam / j: below the mode down to where they underflow,
+    # above it until they fall 1e-20 under tail_tol, where what is left
+    # moves neither the total nor the dropped mass. e^-lam, which is 0 in
+    # float64 from lam ~ 745, never enters: the untruncated weights sum to
+    # 1 / p_mode, so p_j = w_j / total. Terms taken from logs,
+    # exp(j log(lam) - lam - lgamma(j + 1)), would carry the rounding of
+    # logs near 3000 in size: at lam = 500 they sum to 1 - 2e-13, short of
+    # the tail tolerances asked for.
+    below = []
+    w = 1.0
+    for j in range(mode, 0, -1):
+        w *= j / lam
+        if w == 0.0:
             break
-        j += 1
-        if j > 10_000_000:
-            raise NumericalError(f"displaced Poisson truncation did not converge for lambda={lam}")
-        term *= lam / j
+        below.append(w)
+    weights = below[::-1] + [1.0]
+    w = 1.0
+    for j in itertools.count(mode + 1):
+        w *= lam / j
+        if w <= tail_tol * 1e-20:
+            break
+        weights.append(w)
+    total = math.fsum(weights)
 
-    probs = np.zeros(shift + len(terms))
-    probs[shift:] = terms
-    defect = max(0.0, 1.0 - math.fsum(probs))
+    # Drop the longest far tail whose mass stays within tail_tol; tails[k]
+    # is the mass of the last k + 1 weights, summed from the smallest up.
+    tails = list(itertools.accumulate(reversed(weights)))
+    drop = min(bisect.bisect_right(tails, tail_tol * total), len(weights) - 1)
+    kept = weights[: len(weights) - drop]
+
+    probs = np.zeros(shift + mode - len(below) + len(kept))
+    probs[shift + mode - len(below) :] = np.array(kept) / total
+    defect = (tails[drop - 1] if drop else 0.0) / total
     retained_mean = math.fsum(u * p for u, p in enumerate(probs))
     tail_mean_bound = max(0.0, (lam + shift) - retained_mean)
     return Pmf(probs, defect, tail_mean_bound)

@@ -28,10 +28,14 @@ linear system (3x3, 2x2, or scalar depending on the case) is solved by
 Cramer's rule with the right-hand side set exactly to zero.
 The coefficient growth wipes out double precision long before n reaches
 useful values, so sequence generation, the solve and the extension run in
-extended precision (mpmath). One bit budget (``_budget``) serves all
-three: the growth rates of the recurrence's characteristic roots times the
-index, plus the cancellation Cramer's rule suffers between the dominant
-modes, plus 53 bits of float64 accuracy and a 64-bit guard.
+extended precision. The forward recurrence runs on Python integers scaled
+by 2^bits: the float64 atoms are exact dyadic rationals, so each step's
+numerator is formed exactly and one floor division by the pivot is its
+only rounding. The small solve runs in mpmath at the same bits. One bit
+budget (``_budget``) serves all three: the growth rates of the
+recurrence's characteristic roots times the index, plus the cancellation
+Cramer's rule suffers between the dominant modes, plus 53 bits of float64
+accuracy and a 64-bit guard.
 
 Two independent cross-checks live here too: ``boundary_oracle`` solves
 the balance equations as one dense float64 linear system with phi pinned
@@ -43,6 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from mpmath import mp
@@ -55,45 +61,61 @@ SOLVE_AGREE_TOL = 1e-9
 N_SOLVE_CAP = 2000
 
 
-# ---- extended-precision model views ----
+# ---- exact model views ----
 
 
-class _MpModel:
-    """mpf views of the truncated atoms plus the partial sums the solvers use."""
+def _dyadic(values) -> tuple[list[int], int]:
+    """Float64 values as integers over one power of two: v_i = n_i / 2^a."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    a = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (a - d.bit_length() + 1) for n, d in ratios], a
+
+
+def _fixed(v, scale: int) -> int:
+    """floor(v 2^scale), exactly, for a float or an mpf v."""
+    v = mp.ldexp(v, scale)
+    man, exp = v.man_exp
+    if v < 0:
+        man = -man
+    return man << exp if exp >= 0 else man >> -exp
+
+
+class _Atoms:
+    """A model's float64 atoms held exactly, as integers over a power of two
+    per family: x_i = x[i] / 2^ex, y_j = y[j] / 2^ey, s_k = s[k] / 2^es.
+
+    The forward recurrence reads the integers. The head and the solve read
+    mpf values, each rounded once at the working precision from an exact
+    integer, so one view serves every precision a call uses.
+    """
 
     def __init__(self, model: ModelSpec):
-        self.xs = [mp.mpf(float(v)) for v in model.x.probs]
-        self.ys = [mp.mpf(float(v)) for v in model.y.probs]
-        self.ss = [mp.mpf(float(v)) for v in model.s.probs]
-        self.xcum = []
-        acc = mp.mpf(0)
-        for v in self.xs:
-            acc += v
-            self.xcum.append(acc)
-        self.scum = []
-        acc = mp.mpf(0)
-        for v in self.ss:
-            acc += v
-            self.scum.append(acc)
-        self.margin = mp.mpf(INCOME_PER_PAIR) - mp.fsum(
-            u * v for u, v in enumerate(self.ss)
-        )
+        self.x, self.ex = _dyadic(model.x.probs)
+        self.y, self.ey = _dyadic(model.y.probs)
+        self.s, self.es = _dyadic(model.s.probs)
+        self._xcum = list(accumulate(self.x))
+        self._scum = list(accumulate(self.s))
+        self._margin = (INCOME_PER_PAIR << self.es) - sum(k * v for k, v in enumerate(self.s))
 
-    def x(self, i):
-        return self.xs[i] if 0 <= i < len(self.xs) else mp.mpf(0)
+    def x_at(self, i):
+        return mp.ldexp(self.x[i], -self.ex) if 0 <= i < len(self.x) else mp.mpf(0)
 
-    def y(self, i):
-        return self.ys[i] if 0 <= i < len(self.ys) else mp.mpf(0)
+    def y_at(self, i):
+        return mp.ldexp(self.y[i], -self.ey) if 0 <= i < len(self.y) else mp.mpf(0)
 
     def s_cdf(self, u):
         if u < 0:
             return mp.mpf(0)
-        return self.scum[min(u, len(self.scum) - 1)]
+        return mp.ldexp(self._scum[min(u, len(self._scum) - 1)], -self.es)
 
     def x_tail(self, u):
         if u < 0:
             return mp.mpf(1)
-        return 1 - self.xcum[min(u, len(self.xcum) - 1)]
+        return mp.ldexp((1 << self.ex) - self._xcum[min(u, len(self._xcum) - 1)], -self.ex)
+
+    @property
+    def margin(self):
+        return mp.ldexp(self._margin, -self.es)
 
 
 def _budget(model: ModelSpec, tag: CaseTag, n: int, floor: int | None) -> int:
@@ -120,31 +142,58 @@ def _budget(model: ModelSpec, tag: CaseTag, n: int, floor: int | None) -> int:
 # ---- the forward-recurrence kernel ----
 
 
-def _forward(ar: _MpModel, min_atom: int, phi: list, stop: int) -> list:
+def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
     """Extend ``phi`` in place to phi(0..stop) by the forward recurrence
-    stated in ``extend_ultimate``. Caller sets precision.
+    stated in ``extend_ultimate``.
 
-    The recurrence is linear and homogeneous, so the same loop extends phi
-    itself and each coefficient sequence of its representation.
+    Values are integers, phi(k) scaled by 2^F for the caller's F; the
+    recurrence is linear and homogeneous, so F never enters it, and the
+    same loop extends phi itself and each coefficient sequence of its
+    representation. Each step forms its numerator exactly over a power of
+    two (the s tail over 2^es, the x.y coefficients of phi(1) and phi(2)
+    over their own power, so one tiny x or y atom widens only the steps
+    that read it) and divides once by the scaled pivot s_{m*}: the floor
+    of that division is the step's only rounding.
     """
-    pivot = ar.ss[min_atom]
-    smax = len(ar.ss) - 1
-    s_rev = ar.ss[::-1]
-    y0, y1 = ar.y(0), ar.y(1)
+    m = min_atom
+    s, es = at.s, at.es
+    smax = len(s) - 1
+    s_rev = s[::-1]
+    y0, y1 = (at.y + [0, 0])[:2]
+
+    def x(i):
+        return at.x[i] if 0 <= i < len(at.x) else 0
+
+    # step u's x.y coefficients as (c1, c2, k): c1 / 2^(es + k) is
+    # x_{u+m*-1} y_0 + x_{u+m*-2} y_1 and c2 / 2^(es + k) is x_{u+m*-2} y_0;
+    # they vanish once u + m* - 2 passes the support of x
+    forcing = []
+    ez = at.ex + at.ey
+    for u in range(len(at.x) + 2 - m):
+        c1 = x(u + m - 1) * y0 + x(u + m - 2) * y1
+        c2 = x(u + m - 2) * y0
+        both = c1 | c2
+        # the pair's exponent once their common trailing zero bits are gone
+        e = ez - min(ez, (both & -both).bit_length() - 1) if both else 0
+        k = max(0, e - es)
+        d = es + k - ez  # exact either way: c1 and c2 end in ez - e zero bits
+        forcing.append((c1 << d, c2 << d, k) if d >= 0 else (c1 >> -d, c2 >> -d, k))
+
     for u in range(len(phi), stop + 1):
-        acc = phi[u - 4 + min_atom]
-        acc += (ar.x(u + min_atom - 1) * y0 + ar.x(u + min_atom - 2) * y1) * phi[1]
-        c2 = ar.x(u + min_atom - 2) * y0
-        if u == 2:
-            # scenarios that extend from u = 2 all have y_0 = 0
-            if c2 != 0:
-                raise NumericalError("phi(2) required as an initial value for this model")
-        else:
-            acc += c2 * phi[2]
-        lo = max(1, u + min_atom - smax)
+        lo = max(1, u + m - smax)
         # s_rev[smax - u - m* + k] = s_{u+m*-k} for k = lo..u-1
-        tail = mp.fdot(s_rev[smax - u - min_atom + lo : smax - min_atom], phi[lo:u])
-        phi.append((acc - tail) / pivot)
+        tail = sum(map(mul, s_rev[smax - u - m + lo : smax - m], phi[lo:u]))
+        if u < len(forcing):
+            c1, c2, k = forcing[u]
+            if u == 2 and c2:
+                # scenarios that extend from u = 2 all have y_0 = 0
+                raise NumericalError("phi(2) required as an initial value for this model")
+            acc = (phi[u - 4 + m] << (es + k)) + c1 * phi[1] - (tail << k)
+            if c2:
+                acc += c2 * phi[2]
+            phi.append(acc // (s[m] << k))
+        else:
+            phi.append(((phi[u - 4 + m] << es) - tail) // s[m])
     return phi
 
 
@@ -158,7 +207,7 @@ def _free_indices(tag: CaseTag) -> tuple[int, ...]:
     return (1,) if tag.scenario == "s.3" else (0,)
 
 
-def _head(tag: CaseTag, ar: _MpModel, free, margin) -> list:
+def _head(tag: CaseTag, at: _Atoms, free, margin) -> list:
     """phi(0..j) from the free values, with phi(j) from the constraint
 
         phi(0) + (X~(2) y_0 + X~(1) y_1 + S(2)) phi(1)
@@ -172,9 +221,9 @@ def _head(tag: CaseTag, ar: _MpModel, free, margin) -> list:
     """
     row = [
         mp.mpf(1),
-        ar.s_cdf(2) + ar.x_tail(2) * ar.y(0) + ar.x_tail(1) * ar.y(1),
-        ar.s_cdf(1) + ar.x_tail(1) * ar.y(0),
-        ar.s_cdf(0),
+        at.s_cdf(2) + at.x_tail(2) * at.y_at(0) + at.x_tail(1) * at.y_at(1),
+        at.s_cdf(1) + at.x_tail(1) * at.y_at(0),
+        at.s_cdf(0),
     ]
     idx = _free_indices(tag)
     j = idx[-1] + 1
@@ -217,9 +266,10 @@ def build_sequences(
 
     Each sequence is the forward recurrence run from the head of one unit
     vector over the free values (margin 0), or of the zero vector with
-    margin 1, at the working precision ``_budget`` sets for n_max (never
-    below ``precision_bits``). If the realized magnitudes still get within
-    64 bits of that budget, NumericalError is raised.
+    margin 1, on integers scaled by 2^bits, bits being the budget
+    ``_budget`` sets for n_max (never below ``precision_bits``). If the
+    realized magnitudes still get within 64 bits of that budget,
+    NumericalError is raised. Entries are returned as mpf at that precision.
     """
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
@@ -231,17 +281,20 @@ def build_sequences(
 
     free = _free_indices(tag)
     bits = _budget(model, tag, n_max, precision_bits)
+    at = _Atoms(model)
     with mp.workprec(bits):
-        ar = _MpModel(model)
         zero, one = mp.mpf(0), mp.mpf(1)
-        heads = [_head(tag, ar, [one if i == k else zero for k in free], zero) for i in free]
-        heads.append(_head(tag, ar, [zero] * len(free), one))
-        seqs = [_forward(ar, tag.min_s_atom, h, n_max) for h in heads]
-    top_mag = max((mp.mag(v) for seq in seqs for v in seq if v != 0), default=0)
-    if top_mag > bits - 64:
-        raise NumericalError(
-            f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"
-        )
+        heads = [_head(tag, at, [one if i == k else zero for k in free], zero) for i in free]
+        heads.append(_head(tag, at, [zero] * len(free), one))
+        seqs = [_forward(at, tag.min_s_atom, [_fixed(v, bits) for v in h], n_max) for h in heads]
+        top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
+        if top_mag > bits - 64:
+            raise NumericalError(
+                f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"
+            )
+        for seq in seqs:  # in place, so that only one copy is held at a time
+            for n, v in enumerate(seq):
+                seq[n] = mp.ldexp(v, -bits)
 
     coeffs = dict(zip(free, seqs))
     return SequenceSet(
@@ -288,7 +341,7 @@ def _det(rows):
     )
 
 
-def _solve_at(seqs: SequenceSet, ar: _MpModel, n: int):
+def _solve_at(seqs: SequenceSet, at: _Atoms, n: int):
     """Solve the vanished-difference system at index n by Cramer's rule.
 
     Returns the head phi(0..j) and the determinant. Caller sets precision.
@@ -299,7 +352,8 @@ def _solve_at(seqs: SequenceSet, ar: _MpModel, n: int):
     d = seqs.coeff_margin
     steps = range(1, len(cols) + 1)
     mat = [[c[n + i] - c[n] for c in cols] for i in steps]
-    rhs = [-(d[n + i] - d[n]) * ar.margin for i in steps]
+    margin = at.margin
+    rhs = [-(d[n + i] - d[n]) * margin for i in steps]
     det = _det(mat)
     if det == 0:
         raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
@@ -307,26 +361,26 @@ def _solve_at(seqs: SequenceSet, ar: _MpModel, n: int):
         _det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
         for j in range(len(cols))
     ]
-    return _head(tag, ar, sol, ar.margin), det
+    return _head(tag, at, sol, margin), det
 
 
 def _solve_case_d(model: ModelSpec, tag: CaseTag, precision_bits: int | None) -> InitialValues:
     bits = _budget(model, tag, 0, precision_bits)
+    at = _Atoms(model)
     with mp.workprec(bits):
-        ar = _MpModel(model)
-        m = ar.margin
+        m = at.margin
         scen = tag.scenario
         if scen == "v.1":
-            vals = {0: mp.mpf(0), 1: m / ar.y(1)}
+            vals = {0: mp.mpf(0), 1: m / at.y_at(1)}
         elif scen in ("v.2", "v.4"):
             # The recurrence at u = 0 and u = 1 gives
             # phi(1) (s_3 - x_3 y_0 - x_2 y_1) = phi(0); with y_0 = y_1 = 0
             # in these scenarios the pivot reduces to x_1 y_2 + x_0 y_3.
-            den = ar.x(1) * ar.y(2) + ar.x(0) * ar.y(3)
-            phi0 = m / (1 + ar.x_tail(1) * ar.y(1) / den)
+            den = at.x_at(1) * at.y_at(2) + at.x_at(0) * at.y_at(3)
+            phi0 = m / (1 + at.x_tail(1) * at.y_at(1) / den)
             vals = {0: phi0, 1: phi0 / den}
         else:  # v.3: the first claim is at least 3, so phi(0) = phi(1) = 0
-            vals = {0: mp.mpf(0), 1: mp.mpf(0), 2: m / ar.y(0)}
+            vals = {0: mp.mpf(0), 1: mp.mpf(0), 2: m / at.y_at(0)}
     return InitialValues(
         values={k: float(v) for k, v in vals.items()},
         n_solve=0,
@@ -359,12 +413,12 @@ def solve_initials(
         raise InvalidModelError("n_solve must be at least 8")
 
     n = min(n_solve, N_SOLVE_CAP)
+    at = _Atoms(model)
     while True:
         seqs = build_sequences(model, tag, n_max=n + 3, precision_bits=precision_bits)
         with mp.workprec(seqs.precision_bits):
-            ar = _MpModel(model)
-            head, det = _solve_at(seqs, ar, n)
-            head_lo, _ = _solve_at(seqs, ar, n - 1)
+            head, det = _solve_at(seqs, at, n)
+            head_lo, _ = _solve_at(seqs, at, n - 1)
             delta = max(abs(float(head[i] - head_lo[i])) for i in _free_indices(tag))
             if delta <= SOLVE_AGREE_TOL:
                 return InitialValues(
@@ -402,15 +456,15 @@ def extend_ultimate(
                         + x_{u+m*-2} y_0 phi(2)
                         - sum_{k=1}^{u-1} s_{u+m*-k} phi(k)
 
-    Values are computed in extended precision, at the working precision
-    ``_budget`` sets for u_max (never below ``precision_bits``), because the
-    recurrence amplifies roundoff geometrically; they are emitted as
-    float64.
+    Values are computed as integers scaled by 2^bits, bits being the
+    budget ``_budget`` sets for u_max (never below ``precision_bits``),
+    because the recurrence amplifies roundoff geometrically; they are
+    emitted as float64, each correctly rounded from its scaled integer.
     """
     if isinstance(initials, InitialValues):
-        given = dict(initials.values_mp) or {k: mp.mpf(v) for k, v in initials.values.items()}
+        given = initials.values_mp or initials.values
     else:
-        given = {k: mp.mpf(v) for k, v in initials.items()}
+        given = initials
     if u_max < 0:
         raise InvalidModelError("u_max must be >= 0")
     top = max(given)
@@ -427,10 +481,11 @@ def extend_ultimate(
         raise InvalidModelError(f"need initial values up to index {need}")
 
     bits = _budget(model, tag, u_max, precision_bits)
-    with mp.workprec(bits):
-        phi = [given[i] for i in range(min(top, u_max) + 1)]
-        _forward(_MpModel(model), min_atom, phi, u_max)
-        return np.array([float(v) for v in phi])
+    phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
+    _forward(_Atoms(model), min_atom, phi, u_max)
+    # int / int is correctly rounded
+    scale = 1 << bits
+    return np.array([v / scale for v in phi])
 
 
 # ---- residual checks, oracles, collapsed values ----

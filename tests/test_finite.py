@@ -106,6 +106,26 @@ def test_mc_chunk_boundary(ex1):
     assert a.trials == 65536 + 17
 
 
+def test_mc_chunk_memory_capped(ex1, monkeypatch):
+    import tracemalloc
+
+    import ruinwalk.finite as finite
+
+    args = dict(u=0, t=1000, trials=3000, seed=4)
+    want = mc_estimate(ex1, **args)
+    # 65 chunks of 64 trials in place of one chunk of 3000 x 1000 doubles (24 MB)
+    cap = 1 << 16
+    monkeypatch.setattr(finite, "_MC_CHUNK_DOUBLES", cap)
+    tracemalloc.start()
+    try:
+        got = mc_estimate(ex1, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 8 * cap
+
+
 def test_mc_truncated_tail_counts_as_ruin():
     # coarse truncation: draws past the retained support are treated as
     # non-survival, so the estimate is biased down, never past the bound

@@ -1,6 +1,7 @@
 """Unit tests for PMF construction, convolution, and spec parsing."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +82,41 @@ def test_displaced_poisson_moments():
     assert math.isclose(p.mean_retained + p.tail_mean_bound, lam + shift, rel_tol=1e-12)
     assert p.p(shift) == pytest.approx(math.exp(-lam))
     assert p.p(shift - 1) == 0.0
+
+
+def _poisson_by_forward_terms(lam, tail_tol):
+    """The terms e^-lam lam^j / j! by the forward ratio from j = 0, up to
+    the first j whose cumulative sum leaves at most tail_tol: a reference
+    for rates whose e^-lam does not underflow."""
+    terms = [math.exp(-lam)]
+    while 1.0 - math.fsum(terms) > tail_tol:
+        terms.append(terms[-1] * lam / len(terms))
+    return np.array(terms)
+
+
+def test_displaced_poisson_bundled_rates_keep_their_atoms():
+    from ruinwalk.reference_tables import ALL_TABLES
+
+    for table in ALL_TABLES:
+        for lam in (table.x_lam, table.y_lam):
+            want = _poisson_by_forward_terms(lam, 1e-12)
+            got = make_displaced_poisson(lam, 0).probs
+            assert len(got) == len(want), (table.name, lam)
+            # both routes round each term a few times: a few ulps apart
+            assert np.allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0), (table.name, lam)
+
+
+@pytest.mark.parametrize("lam", [500.0, 800.0, 5000.0])
+def test_displaced_poisson_large_rate(lam):
+    # e^-lam underflows from lam ~ 745; the construction used to wait for
+    # its terms to reach the tail tolerance and never returned
+    start = time.perf_counter()
+    p = make_displaced_poisson(lam, 3)
+    assert time.perf_counter() - start < 2.0
+    assert 0.0 <= p.mass_defect <= 1e-12
+    assert math.fsum(p.probs) + p.mass_defect == pytest.approx(1.0, abs=1e-14)
+    assert np.all(p.probs[:3] == 0.0) and p.probs[3 + math.floor(lam)] == p.probs.max()
+    assert math.isclose(p.mean_retained + p.tail_mean_bound, lam + 3, rel_tol=1e-12)
 
 
 def test_displaced_poisson_validation():

@@ -76,10 +76,22 @@ def test_representation_identity_case_c_s3():
 def _route_model(request, route):
     if route in ("A", "B", "s.1"):
         return request.getfixturevalue({"A": "ex1", "B": "ex2", "s.1": "ex3"}[route])
+    if route == "dpois-B":
+        # tail atoms near 1e-15 make the s atoms integers over 2^147, and the
+        # x.y coefficients of the last steps need up to 7 more bits
+        return ModelSpec(x=make_displaced_poisson(0.95, 1, tail_tol=1e-15),
+                         y=make_displaced_poisson(1.5, 0, tail_tol=1e-15))
+    if route == "underflow":
+        return UNDERFLOW_MODEL
     return random_case_model(np.random.default_rng(2014), "C", route)
 
 
-@pytest.mark.parametrize("route", ["A", "B", "s.1", "s.2", "s.3"])
+# x_0 = 5e-324 is the least subnormal, so x_0 y_1 underflows to s_1 = 0
+# (case C s.1) and the x atoms are integers over 2^1074.
+UNDERFLOW_MODEL = ModelSpec(x=from_probs([5e-324, 0.5, 0.5]), y=from_probs([0.0, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("route", ["A", "B", "s.1", "s.2", "s.3", "dpois-B", "underflow"])
 def test_sequences_satisfy_master_recurrence_and_constraint(request, route):
     """Any combination L(n) = sum_i c_i(n) v_i + d(n) m of the sequences
     obeys the master recurrence and meets the constraint with margin m.
@@ -264,6 +276,9 @@ def test_boundary_oracle_agrees(ex1, ex2, ex3, ex4):
         r = survival_ultimate(m, u_max=600)
         b = boundary_oracle(m, u_max=600, u_big=1500)
         assert np.max(np.abs(r.phi - b)) < 1e-12, classify(m)
+    r = survival_ultimate(UNDERFLOW_MODEL, u_max=300)
+    b = boundary_oracle(UNDERFLOW_MODEL, u_max=300, u_big=1500)
+    assert np.max(np.abs(r.phi - b)) < 1e-12
 
 
 def test_boundary_oracle_rejects_no_net_profit(ex5):
