@@ -235,6 +235,8 @@ def _cmd_ultimate(ns) -> int:
     print(_emit_table(header, rows, ns.format))
     det = "none" if result.determinant is None else _fmt_det(result.determinant, raw=False)
     bits = "none" if result.precision_bits is None else str(result.precision_bits)
+    tail = ["none" if v is None else format(v, ".6g")
+            for v in (result.lundberg_r, result.lundberg_c, result.reach)]
     for text in (
         f"case: {_case_str(result.case)}",
         f"margin: {result.margin:.12g}",
@@ -244,6 +246,9 @@ def _cmd_ultimate(ns) -> int:
         f"initials_delta: {result.initials_delta:.3e}",
         f"residual_master: {result.residual_master:.3e}",
         f"residual_constraint: {result.residual_constraint:.3e}",
+        f"lundberg_r: {tail[0]}",
+        f"lundberg_c: {tail[1]}",
+        f"reach: {tail[2]}",
     ):
         print(_note(text, ns.format))
     return 0

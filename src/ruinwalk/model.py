@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InvalidModelError, PrecisionError
 from .pmf import Pmf, convolve
 
@@ -55,6 +57,21 @@ class ModelSpec:
     @property
     def mean_s_upper(self) -> float:
         return self.mean_s + self.s.tail_mean_bound
+
+    @cached_property
+    def balance_roots(self) -> np.ndarray:
+        """Nonzero roots z of sum_k s_k z^(D-k) = z^(D-4), D = max(smax, 4).
+
+        Each is a mode z^n of the balance recurrence the ultimate route
+        runs; the precision budget and the Lundberg tail both read them.
+        """
+        s = self.s
+        coeffs = np.zeros(max(s.support_max, INCOME_PER_PAIR) + 1)
+        coeffs[: s.support_max + 1] = s.probs
+        coeffs[INCOME_PER_PAIR] -= 1.0
+        # np.roots drops the leading zeros (s_k = 0 below the first
+        # positive atom) itself; trailing ones would come back as roots 0
+        return np.roots(np.trim_zeros(coeffs, "b"))
 
 
 def net_profit_margin(model: ModelSpec) -> float:

@@ -37,6 +37,22 @@ recurrence's characteristic roots times the index, plus the cancellation
 Cramer's rule suffers between the dominant modes, plus 53 bits of float64
 accuracy and a 64-bit guard.
 
+The route stops where ruin can no longer move a float64 value. With S =
+X + Y one pair's claim and R > 0 the root of E[e^(R(S-4))] = 1, e^(-R U)
+at pair boundaries is a martingale, and a ruin in mid-pair costs one
+factor E[e^(R(Y-2))]^-1 = E[e^(R(X-2))]. So Lundberg's inequality reads
+
+    psi(u) = 1 - phi(u) <= C e^(-R u),    C = max(1, E[e^(R(Y-2))]^-1)
+
+(Gerber 1979, An Introduction to Mathematical Risk Theory; Damarackas and
+Siaulys 2014 for the rate-one model this one extends). ``_lundberg_tail``
+reads R off the balance recurrence's root z = e^-R in (0, 1) and checks
+it in float64. ``survival_ultimate`` solves and extends only up to
+reach = u* + 8, u* the least u where the bound is at most 2^-53, and
+continues the row above reach along the recurrence's unit mode, so its
+precision and solve index do not grow with u_max. ``solve_initials``
+and ``extend_ultimate`` stay the untailed route.
+
 Two independent cross-checks live here too: ``boundary_oracle`` solves
 the balance equations as one dense float64 linear system with phi pinned
 to 1 far out, and ``no_net_profit_values`` produces the collapsed values
@@ -54,7 +70,16 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InvalidModelError, NumericalError, SingularSystemError
-from .model import INCOME_PER_PAIR, CaseKind, CaseTag, ModelSpec, classify, net_profit_margin
+from .model import (
+    INCOME_PER_PAIR,
+    PREMIUM_PER_PERIOD,
+    CaseKind,
+    CaseTag,
+    ModelSpec,
+    classify,
+    net_profit_margin,
+)
+from .pmf import Pmf
 
 DEFAULT_PRECISION_BITS = 256
 SOLVE_AGREE_TOL = 1e-9
@@ -121,22 +146,61 @@ class _Atoms:
 def _budget(model: ModelSpec, tag: CaseTag, n: int, floor: int | None) -> int:
     """Working bits for coefficients and values up to index n.
 
-    Solutions z^n of the balance recurrence have
-    sum_j s_j z^(D-j) = z^(D-4), D = max(smax, 4), so each root z grows a
-    mode by g = log2|z| bits per index. The dominant mode sets the
+    Each root z of the balance recurrence (``ModelSpec.balance_roots``)
+    grows a mode by g = log2|z| bits per index. The dominant mode sets the
     magnitudes; Cramer's rule on the dim x dim difference system (dim as
     in ``_free_indices``) then cancels the sum of (g_1 - g_j) over the
     next dim - 1 modes. On top: 53 bits of float64 accuracy and a 64-bit
     guard.
     """
-    m = tag.min_s_atom
-    coeffs = np.zeros(max(model.s.support_max, 4) - m + 1)
-    coeffs[: model.s.support_max - m + 1] = model.s.probs[m:]
-    coeffs[4 - m] -= 1.0
-    g = np.sort(np.log2(np.abs(np.roots(np.trim_zeros(coeffs, "b")))))[::-1]
+    g = np.sort(np.log2(np.abs(model.balance_roots)))[::-1]
     dim = len(_free_indices(tag))
     per_index = g[0] + sum(g[0] - g[j] for j in range(1, dim))
     return max(floor or DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
+
+
+def _mgf(p: Pmf, r: float, shift: int) -> float:
+    """E[e^(r (Z - shift))] in float64, with the mass defect on one atom
+    just past the support, the nearest place a truncated tail can sit."""
+    k = np.arange(-shift, len(p.probs) + 1 - shift)
+    return float(np.dot(np.append(p.probs, p.mass_defect), np.exp(r * k)))
+
+
+def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
+    """(R, C, u*) of the Lundberg bound psi(u) = 1 - phi(u) <= C e^(-R u),
+    u* the least u where the bound is at most 2^-53.
+
+    Any R > 0 with E[e^(R(S-4))] <= 1 makes e^(-R U) at pair boundaries a
+    supermartingale, and a ruin in mid-pair costs one factor
+    E[e^(R(Y-2))]^-1, so C = max(1, E[e^(R(Y-2))]^-1). At the root that
+    factor is E[e^(R(X-2))]; below it the Y form is the one the argument
+    gives, and a defect placed just past the support of y only lowers
+    E[e^(R(Y-2))], which raises C. R starts at the least real root
+    z = e^-R in (0, 1) of the balance polynomial (the unit mode z = 1 can
+    come out just under 1) and is lowered until a float64 evaluation
+    shows E[e^(R(S-4))] <= 1; any smaller R keeps the bound. Without such
+    a root R = 0 and u* = inf: no tail.
+
+    With no s atom above 4 the pair-boundary surplus never falls, so ruin
+    needs one claim x >= u + 2 in mid-pair: psi(u) = 0 from
+    u* = max(1, x_max - 1). R is then inf, and C is 1 if x_max <= 2
+    (psi(u) = 0 for every u >= 1), else inf: psi(1) may be positive, and
+    no finite C bounds it.
+    """
+    s, x = model.s, model.x
+    if not s.probs[INCOME_PER_PAIR + 1 :].any():
+        x_max = int(np.flatnonzero(x.probs)[-1])
+        return math.inf, 1.0 if x_max <= PREMIUM_PER_PERIOD else math.inf, max(1, x_max - 1)
+    z = model.balance_roots
+    z = z.real[(z.imag == 0) & (z.real > 0) & (z.real < 1)]
+    r = -math.log(z.min()) if z.size else 0.0
+    step = r * 2.0**-40
+    while r > 0 and _mgf(s, r, INCOME_PER_PAIR) > 1:
+        r, step = r - step, 2 * step
+    if r <= 0:
+        return 0.0, 1.0, math.inf
+    c = max(1.0, 1 / _mgf(model.y, r, PREMIUM_PER_PERIOD))
+    return r, c, math.ceil((math.log(c) + 53 * math.log(2)) / r)
 
 
 # ---- the forward-recurrence kernel ----
@@ -256,6 +320,33 @@ class SequenceSet:
     precision_bits: int
 
 
+def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int,
+               precision_bits: int | None) -> tuple[list[list[int]], int]:
+    """The coefficient sequences up to index n_max as integers scaled by
+    2^bits, in the order of ``_free_indices`` with the margin's last, and
+    bits.
+
+    Each is the forward recurrence run from the head of one unit vector
+    over the free values (margin 0), or of the zero vector with margin 1,
+    bits being the budget ``_budget`` sets for n_max (never below
+    ``precision_bits``). If the realized magnitudes still get within 64
+    bits of that budget, NumericalError is raised.
+    """
+    free = _free_indices(tag)
+    bits = _budget(model, tag, n_max, precision_bits)
+    with mp.workprec(bits):
+        zero, one = mp.mpf(0), mp.mpf(1)
+        heads = [_head(tag, at, [one if i == k else zero for k in free], zero) for i in free]
+        heads.append(_head(tag, at, [zero] * len(free), one))
+        seqs = [_forward(at, tag.min_s_atom, [_fixed(v, bits) for v in h], n_max) for h in heads]
+    top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
+    if top_mag > bits - 64:
+        raise NumericalError(
+            f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"
+        )
+    return seqs, bits
+
+
 def build_sequences(
     model: ModelSpec,
     tag: CaseTag | None = None,
@@ -264,12 +355,8 @@ def build_sequences(
 ) -> SequenceSet:
     """Generate the representation coefficients up to index n_max.
 
-    Each sequence is the forward recurrence run from the head of one unit
-    vector over the free values (margin 0), or of the zero vector with
-    margin 1, on integers scaled by 2^bits, bits being the budget
-    ``_budget`` sets for n_max (never below ``precision_bits``). If the
-    realized magnitudes still get within 64 bits of that budget,
-    NumericalError is raised. Entries are returned as mpf at that precision.
+    The sequences come from ``_sequences``; entries are returned as mpf at
+    its precision.
     """
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
@@ -279,24 +366,13 @@ def build_sequences(
     if n_max < 4:
         raise InvalidModelError("n_max must be at least 4")
 
-    free = _free_indices(tag)
-    bits = _budget(model, tag, n_max, precision_bits)
-    at = _Atoms(model)
+    seqs, bits = _sequences(model, tag, _Atoms(model), n_max, precision_bits)
     with mp.workprec(bits):
-        zero, one = mp.mpf(0), mp.mpf(1)
-        heads = [_head(tag, at, [one if i == k else zero for k in free], zero) for i in free]
-        heads.append(_head(tag, at, [zero] * len(free), one))
-        seqs = [_forward(at, tag.min_s_atom, [_fixed(v, bits) for v in h], n_max) for h in heads]
-        top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
-        if top_mag > bits - 64:
-            raise NumericalError(
-                f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"
-            )
         for seq in seqs:  # in place, so that only one copy is held at a time
             for n, v in enumerate(seq):
                 seq[n] = mp.ldexp(v, -bits)
 
-    coeffs = dict(zip(free, seqs))
+    coeffs = dict(zip(_free_indices(tag), seqs))
     return SequenceSet(
         tag=tag,
         n_max=n_max,
@@ -341,19 +417,18 @@ def _det(rows):
     )
 
 
-def _solve_at(seqs: SequenceSet, at: _Atoms, n: int):
+def _solve_at(tag: CaseTag, seqs: list[list[int]], bits: int, at: _Atoms, n: int):
     """Solve the vanished-difference system at index n by Cramer's rule.
 
-    Returns the head phi(0..j) and the determinant. Caller sets precision.
+    ``seqs`` are the scaled integer sequences of ``_sequences``; only
+    entries n..n+dim of each become mpf. Returns the head phi(0..j) and
+    the determinant. Caller sets precision.
     """
-    tag = seqs.tag
-    by_index = {0: seqs.coeff_phi0, 1: seqs.coeff_phi1, 2: seqs.coeff_phi2}
-    cols = [by_index[i] for i in _free_indices(tag)]
-    d = seqs.coeff_margin
-    steps = range(1, len(cols) + 1)
-    mat = [[c[n + i] - c[n] for c in cols] for i in steps]
+    steps = range(1, len(seqs))
+    *cols, d = [[mp.ldexp(v, -bits) for v in seq[n : n + len(seqs)]] for seq in seqs]
+    mat = [[c[i] - c[0] for c in cols] for i in steps]
     margin = at.margin
-    rhs = [-(d[n + i] - d[n]) * margin for i in steps]
+    rhs = [-(d[i] - d[0]) * margin for i in steps]
     det = _det(mat)
     if det == 0:
         raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
@@ -415,10 +490,10 @@ def solve_initials(
     n = min(n_solve, N_SOLVE_CAP)
     at = _Atoms(model)
     while True:
-        seqs = build_sequences(model, tag, n_max=n + 3, precision_bits=precision_bits)
-        with mp.workprec(seqs.precision_bits):
-            head, det = _solve_at(seqs, at, n)
-            head_lo, _ = _solve_at(seqs, at, n - 1)
+        seqs, bits = _sequences(model, tag, at, n + 3, precision_bits)
+        with mp.workprec(bits):
+            head, det = _solve_at(tag, seqs, bits, at, n)
+            head_lo, _ = _solve_at(tag, seqs, bits, at, n - 1)
             delta = max(abs(float(head[i] - head_lo[i])) for i in _free_indices(tag))
             if delta <= SOLVE_AGREE_TOL:
                 return InitialValues(
@@ -426,7 +501,7 @@ def solve_initials(
                     n_solve=n,
                     determinant=det,
                     delta=delta,
-                    precision_bits=seqs.precision_bits,
+                    precision_bits=bits,
                     values_mp=dict(enumerate(head)),
                 )
         if n >= N_SOLVE_CAP:
@@ -606,7 +681,9 @@ class UltimateResult:
     """phi(0..u_max) with the solve diagnostics attached.
 
     Values are raw solver output (not clamped); presentation layers clamp
-    to [0, 1] at rendering time.
+    to [0, 1] at rendering time. ``lundberg_r`` and ``lundberg_c`` are the
+    R and C of the bound 1 - phi(u) <= C e^(-R u), and ``reach`` the last
+    u the paper's route computed; all three are None without net profit.
     """
 
     phi: np.ndarray
@@ -619,6 +696,9 @@ class UltimateResult:
     initials_delta: float
     residual_master: float
     residual_constraint: float
+    lundberg_r: float | None
+    lundberg_c: float | None
+    reach: int | None
 
 
 def survival_ultimate(
@@ -627,7 +707,14 @@ def survival_ultimate(
     n_solve: int = 150,
     precision_bits: int | None = None,
 ) -> UltimateResult:
-    """Classify, solve, extend, and cross-check in one call."""
+    """Classify, solve, extend, and cross-check in one call.
+
+    The route runs only up to reach = min(u_max, u* + 8), u* from
+    ``_lundberg_tail``; above reach phi continues along the recurrence's
+    unit mode, phi(reach) + (mass_defect / margin)(u - reach), flat for
+    exact atoms. So the precision and the solve index do not grow with
+    u_max. ``residuals`` checks the whole row.
+    """
     tag = classify(model)
     work_len = max(u_max, 7)
 
@@ -645,12 +732,25 @@ def survival_ultimate(
             initials_delta=0.0,
             residual_master=res.master,
             residual_constraint=res.constraint,
+            lundberg_r=None,
+            lundberg_c=None,
+            reach=None,
         )
 
+    r, c, u_star = _lundberg_tail(model)
+    reach = min(work_len, u_star + 8)
     # never extend past the solve index: committed error grows along the
     # dominant coefficient mode once u approaches n_solve
-    init = solve_initials(model, tag, n_solve=max(n_solve, u_max + 8), precision_bits=precision_bits)
-    phi = extend_ultimate(model, init, work_len, precision_bits=init.precision_bits)
+    if tag.kind != CaseKind.D and reach + 8 > N_SOLVE_CAP:
+        raise NumericalError(
+            f"phi up to u={reach} needs a solve index past {N_SOLVE_CAP} "
+            f"(Lundberg exponent {r:.3g}); the margin is too small for this method"
+        )
+    init = solve_initials(model, tag, n_solve=max(n_solve, reach + 8), precision_bits=precision_bits)
+    phi = extend_ultimate(model, init, reach, precision_bits=init.precision_bits)
+    if reach < work_len:
+        slope = model.s.mass_defect / net_profit_margin(model)
+        phi = np.concatenate([phi, phi[reach] + slope * np.arange(1, work_len - reach + 1)])
     res = residuals(model, phi)
     return UltimateResult(
         phi=phi[: u_max + 1].copy(),
@@ -663,4 +763,7 @@ def survival_ultimate(
         initials_delta=init.delta,
         residual_master=res.master,
         residual_constraint=res.constraint,
+        lundberg_r=r,
+        lundberg_c=c,
+        reach=reach,
     )

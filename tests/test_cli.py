@@ -1,5 +1,6 @@
 """CLI behavior: rendering, exit codes, determinism."""
 
+import numpy as np
 import pytest
 
 from ruinwalk.cli import main
@@ -36,6 +37,12 @@ def test_numerical_error_exit(capsys):
                        "--u-max", "2")
     assert code == 3
     assert "numerical" in err
+    # margin 0.02: the Lundberg bound reaches 2^-53 only near u = 3670, so
+    # the row would need a solve index past N_SOLVE_CAP
+    code, _, err = run(capsys, "ultimate", "--x", "dpois:1.99,0", "--y", "dpois:1.99,0",
+                       "--u-max", "2100")
+    assert code == 3
+    assert "solve index" in err
 
 
 def test_finite_csv_golden(capsys):
@@ -84,8 +91,21 @@ def test_ultimate_diagnostics_markdown(capsys):
                        "--u-max", "3")
     assert code == 0
     for key in ("case: A", "margin:", "n_solve:", "precision_bits:",
-                "determinant:", "residual_master:", "residual_constraint:"):
+                "determinant:", "residual_master:", "residual_constraint:",
+                "lundberg_r:", "lundberg_c:", "reach:"):
         assert key in out
+
+
+def test_ultimate_past_solve_cap(capsys):
+    # u_max + 8 passes N_SOLVE_CAP; the row past u* + 8 comes from the tail
+    from ruinwalk import ModelSpec, boundary_oracle, make_displaced_poisson
+
+    code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
+                       "--u-max", "2100", "--raw", "--format", "csv")
+    assert code == 0
+    phi = np.array([float(c) for c in out.splitlines()[1].split(",")[1:]])
+    m = ModelSpec(x=make_displaced_poisson(1.0, 0), y=make_displaced_poisson(2.0, 0))
+    assert np.max(np.abs(phi - boundary_oracle(m, u_max=2100, u_big=3000))) < 1e-12
 
 
 def test_classify_output(capsys):
@@ -128,7 +148,7 @@ def test_diagnostics_past_float_range(capsys):
     assert float(cells[260]) == -1.134850e308
     assert cells[261] == "1.713101e+309" and cells[300] == "-1.617012e+355"
     code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
-                       "--u-max", "400", "--format", "csv")
+                       "--u-max", "400", "--n-solve", "408", "--format", "csv")
     assert code == 0
     det = out.split("# determinant: ")[1].split()[0]
     assert det.endswith("e+482")

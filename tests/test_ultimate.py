@@ -221,6 +221,14 @@ def test_zero_claims_survive_surely():
     m = ModelSpec(x=point_mass(0), y=point_mass(0))
     r = survival_ultimate(m, u_max=5)
     assert np.all(r.phi == 1.0)
+    # no pair claim above the income of 4: the pair-boundary surplus never
+    # falls, and ruin needs x >= u + 2 in mid-pair, so psi(u) = 0 from
+    # max(1, x_max - 1) = 2 and the route stops at reach 2 + 8
+    m = ModelSpec(x=from_probs([0.25, 0.0, 0.0, 0.75]), y=point_mass(0))
+    r = survival_ultimate(m, u_max=10_000)
+    assert r.lundberg_r == math.inf and r.reach == 10
+    assert r.phi[:2] == pytest.approx([0.25, 0.25], abs=1e-15)
+    assert np.all(r.phi[2:] == 1.0)
 
 
 # --- residuals ---
@@ -264,14 +272,18 @@ def test_residuals_need_enough_values(ex1):
 # --- boundary oracle ---
 
 
+# Far-row models by (lambda, shift) of x and y, one per route: A, B, C s.1,
+# C s.2, C s.3 and case D v.1.
+FAR_ROWS = (((1, 0), (2, 0)), ((0.95, 1), (1.5, 0)), ((0.75, 1), (0.75, 1)),
+            ((0.85, 0), (0.65, 2)), ((0.65, 2), (0.85, 0)), ((0.5, 2), (1 / 3, 1)))
+
+
 def test_boundary_oracle_agrees(ex1, ex2, ex3, ex4):
     for m in (ex1, ex2, ex3, ex4):
         r = survival_ultimate(m, u_max=30)
         b = boundary_oracle(m, u_max=30)
         assert np.max(np.abs(r.phi - b)) < 1e-8
-    # far rows, one model per sequence route: A, B, C s.1, C s.2, C s.3
-    for (lx, dx), (ly, dy) in (((1, 0), (2, 0)), ((0.95, 1), (1.5, 0)), ((0.75, 1), (0.75, 1)),
-                               ((0.85, 0), (0.65, 2)), ((0.65, 2), (0.85, 0))):
+    for (lx, dx), (ly, dy) in FAR_ROWS:
         m = ModelSpec(x=make_displaced_poisson(lx, dx), y=make_displaced_poisson(ly, dy))
         r = survival_ultimate(m, u_max=600)
         b = boundary_oracle(m, u_max=600, u_big=1500)
@@ -279,6 +291,47 @@ def test_boundary_oracle_agrees(ex1, ex2, ex3, ex4):
     r = survival_ultimate(UNDERFLOW_MODEL, u_max=300)
     b = boundary_oracle(UNDERFLOW_MODEL, u_max=300, u_big=1500)
     assert np.max(np.abs(r.phi - b)) < 1e-12
+
+
+@pytest.mark.parametrize("rates", FAR_ROWS, ids=["A", "B", "s.1", "s.2", "s.3", "v.1"])
+def test_cost_stops_growing_with_u_max(rates):
+    """Past u* + 8 the row comes from the Lundberg tail, so u_max = 10^4
+    solves at the bits and index of u_max = 600 and returns its row."""
+    (lx, dx), (ly, dy) = rates
+    m = ModelSpec(x=make_displaced_poisson(lx, dx), y=make_displaced_poisson(ly, dy))
+    r = survival_ultimate(m, u_max=600)
+    big = survival_ultimate(m, u_max=10_000)
+    assert (big.precision_bits, big.n_solve, big.reach) == (r.precision_bits, r.n_solve, r.reach)
+    assert r.reach < 150
+    assert np.array_equal(big.phi[:601], r.phi)
+    # the untailed route, solved past u = 600 and extended up to it
+    full = extend_ultimate(m, solve_initials(m, n_solve=608), u_max=600)
+    assert np.max(np.abs(full - r.phi)) < 1e-13
+
+
+# Exact dyadic models, one per route: A, B, C s.1, C s.2, C s.3, D v.1.
+DYADIC = {
+    "A": ([0.375, 0.375, 0.1875, 0.0625], [0.125, 0.25, 0.25, 0.25, 0.125]),
+    "B": ([0, 0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.125, 0.125]),
+    "s.1": ([0, 0.5, 0.25, 0.25], [0, 0.5, 0.25, 0.25]),
+    "s.2": ([0.5, 0.25, 0.25], [0, 0, 0.5, 0.25, 0.25]),
+    "s.3": ([0, 0, 0.5, 0.25, 0.25], [0.5, 0.25, 0.25]),
+    "v.1": ([0, 0, 0.75, 0.25], [0, 0.75, 0.25]),
+}
+
+
+@pytest.mark.parametrize("route", DYADIC)
+def test_lundberg_bound_holds(route):
+    """1 - phi(u) <= C e^(-R u) against the dense oracle, with R the root
+    of E[e^(R(S-4))] = 1 (not some smaller, vacuous value)."""
+    x, y = DYADIC[route]
+    m = ModelSpec(x=from_probs(x), y=from_probs(y))
+    r = survival_ultimate(m, u_max=199)
+    s = m.s.probs
+    assert abs(math.fsum(s * np.exp(r.lundberg_r * (np.arange(len(s)) - 4))) - 1) < 1e-9
+    psi = 1 - boundary_oracle(m, u_max=199, u_big=600)
+    # the oracle's float64 rounding, where the bound falls below it
+    assert np.all(psi <= r.lundberg_c * np.exp(-r.lundberg_r * np.arange(200)) + 1e-14)
 
 
 def test_boundary_oracle_rejects_no_net_profit(ex5):
