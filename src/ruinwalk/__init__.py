@@ -39,13 +39,11 @@ from .model import (
 )
 from .pmf import (
     Pmf,
-    PmfSummary,
     convolve,
     from_probs,
     make_displaced_poisson,
     parse_pmf_spec,
     point_mass,
-    summarize,
 )
 from .ultimate import (
     DEFAULT_PRECISION_BITS,
@@ -74,7 +72,6 @@ __all__ = [
     "ModelSpec",
     "NumericalError",
     "Pmf",
-    "PmfSummary",
     "PrecisionError",
     "Residuals",
     "SequenceSet",
@@ -97,7 +94,6 @@ __all__ = [
     "point_mass",
     "residuals",
     "solve_initials",
-    "summarize",
     "survival_finite",
     "survival_ultimate",
     "__version__",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -148,6 +149,7 @@ def _model_from(ns) -> ModelSpec:
     )
 
 
+@functools.cache  # parse_args keeps no state in the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ruinwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

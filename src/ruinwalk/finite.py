@@ -1,16 +1,16 @@
 """Finite-horizon survival probabilities.
 
 The closed recursion steps the horizon down by a full period pair:
+layer T = B . layer T - 2, from layer 0 = 1 and layer 1 = X(u + 1),
 
-    phi(u, 1) = X(u + 1)
-    phi(u, 2) = sum_{k=0}^{u+1} x_k Y(u + 3 - k)
-    phi(u, T) = sum_{k=0}^{u+3} s_k phi(u + 4 - k, T - 2)
-                - x_{u+2} y_0 phi(2, T - 2)
-                - (x_{u+2} y_1 + x_{u+3} y_0) phi(1, T - 2)      for T >= 3
+    (B v)(u) = sum_{k=0}^{u+3} s_k v(u + 4 - k)
+               - x_{u+2} y_0 v(2) - (x_{u+2} y_1 + x_{u+3} y_0) v(1)
 
-where capital letters are cdfs and s is the period-pair claim sum. Layer
-T reads layer T - 2 four indices higher, so the internal u range widens
-by 2 per horizon step; only the requested window is materialized.
+where X is the cdf of the odd-period claim and s is the period-pair claim
+sum; B is ``model._balance``, the operator whose fixed point is the
+ultimate row. Layer T reads layer T - 2 four indices higher, so the
+internal u range widens by 2 per horizon step; only the requested window
+is materialized.
 
 Two independent validators live here as well: a forward dynamic program
 over the surplus (shares nothing with the recursion above) and a
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import ModelSpec
+from .model import ModelSpec, _balance
 
 # Monte Carlo chunks: at most _MC_CHUNK trials and _MC_CHUNK_DOUBLES
 # uniforms (trials x horizon) each, so horizons up to 256 keep full
@@ -54,47 +54,6 @@ class SurvivalGrid:
         return float(self.values[u, t - 1])
 
 
-def _layer_one(model: ModelSpec, width: int) -> np.ndarray:
-    x = model.x
-    # X(1..width+1), frozen at the retained total beyond the support
-    return x._cdf[np.minimum(np.arange(1, width + 2), x.support_max)]
-
-
-def _layer_two(model: ModelSpec, width: int) -> np.ndarray:
-    out = np.zeros(width + 1)
-    y = model.y
-    yc = y._cdf[np.minimum(np.arange(width + 4), y.support_max)]
-    xp = model.x.probs
-    for k in range(min(model.x.support_max, width + 1) + 1):
-        xk = xp[k]
-        if xk == 0.0:
-            continue
-        u_lo = max(0, k - 1)
-        # phi(u,2) collects x_k * Y(u + 3 - k) for k <= u + 1
-        out[u_lo : width + 1] += xk * yc[u_lo + 3 - k : width + 4 - k]
-    return out
-
-
-def _layer_step(prev: np.ndarray, width: int, model: ModelSpec) -> np.ndarray:
-    """One horizon pair step; ``prev`` must cover indices 0..width+4."""
-    sp = model.s.probs
-    new = np.zeros(width + 1)
-    for k in range(min(model.s.support_max, width + 3) + 1):
-        sk = sp[k]
-        if sk == 0.0:
-            continue
-        u_lo = max(0, k - 3)
-        new[u_lo : width + 1] += sk * prev[u_lo + 4 - k : width + 5 - k]
-    xpad = np.zeros(width + 4)
-    hi = min(model.x.support_max, width + 3)
-    xpad[: hi + 1] = model.x.probs[: hi + 1]
-    y0 = model.y.p(0)
-    y1 = model.y.p(1)
-    new -= xpad[2 : width + 3] * (y0 * prev[2] + y1 * prev[1])
-    new -= xpad[3 : width + 4] * (y0 * prev[1])
-    return new
-
-
 def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     """Survival probability grid over u = 0..u_max, horizons 1..t_max."""
     if u_max < 0 or t_max < 1:
@@ -103,15 +62,15 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     def width(t):
         return u_max + 2 * (t_max - t)
 
+    x = model.x
     grid = np.empty((u_max + 1, t_max))
-    older = _layer_one(model, width(1))  # horizon T - 2 while sweeping
-    grid[:, 0] = older[: u_max + 1]
-    newer = None
-    if t_max >= 2:
-        newer = _layer_two(model, width(2))
-        grid[:, 1] = newer[: u_max + 1]
-    for t in range(3, t_max + 1):
-        layer = _layer_step(older, width(t), model)
+    # horizons T - 2 and T - 1 while sweeping; layer t covers u = 0..width(t)
+    older = np.ones(width(0) + 1)
+    # X(1..width+1), frozen at the retained total beyond the support
+    newer = x._cdf[np.minimum(np.arange(1, width(1) + 2), x.support_max)]
+    grid[:, 0] = newer[: u_max + 1]
+    for t in range(2, t_max + 1):
+        layer = _balance(model, older, width(t) + 1)
         grid[:, t - 1] = layer[: u_max + 1]
         older, newer = newer, layer
 

@@ -74,6 +74,24 @@ class ModelSpec:
         return np.roots(np.trim_zeros(coeffs, "b"))
 
 
+def _balance(model: ModelSpec, v: np.ndarray, n: int) -> np.ndarray:
+    """(B v)(0..n-1) from v(0..n+3): the balance equations as one operator.
+
+        (B v)(u) = sum_{k=1}^{u+4} s_{u+4-k} v(k)
+                   - (x_{u+3} y_0 + x_{u+2} y_1) v(1) - x_{u+2} y_0 v(2)
+
+    One period pair maps survival over T - 2 periods to survival over T,
+    and the ultimate row is the fixed point phi = B phi.
+    """
+    y0, y1 = model.y.p(0), model.y.p(1)
+    xs = np.concatenate([model.x.probs, np.zeros(n + 3)])
+    return (
+        np.convolve(v[1 : n + 4], model.s.probs)[3 : n + 3]
+        - (xs[3 : n + 3] * y0 + xs[2 : n + 2] * y1) * v[1]
+        - xs[2 : n + 2] * y0 * v[2]
+    )
+
+
 def net_profit_margin(model: ModelSpec) -> float:
     """Income minus expected claims per period pair, 4 - E[s] (retained)."""
     return INCOME_PER_PAIR - model.mean_s

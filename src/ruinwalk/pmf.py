@@ -208,23 +208,6 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
     return Pmf(probs, defect, bound)
 
 
-@dataclass(frozen=True)
-class PmfSummary:
-    """Retained mean plus cdf/tail vectors; the truncated-tail mean bound
-    is reported separately rather than folded into the mean."""
-
-    mean: float
-    cdf: np.ndarray
-    tail: np.ndarray
-    tail_mean_bound: float
-
-
-def summarize(p: Pmf) -> PmfSummary:
-    cdf = np.cumsum(p.probs)
-    tail = 1.0 - cdf
-    return PmfSummary(p.mean_retained, _as_readonly(cdf), _as_readonly(tail), p.tail_mean_bound)
-
-
 # ---- the textual PMF grammar used by the CLI and config files ----
 
 

@@ -76,6 +76,7 @@ from .model import (
     CaseKind,
     CaseTag,
     ModelSpec,
+    _balance,
     classify,
     net_profit_margin,
 )
@@ -573,10 +574,12 @@ class Residuals:
 
 
 def residuals(model: ModelSpec, phi) -> Residuals:
-    """Worst violation of the balance recurrence and of the constraint.
+    """max |phi - B phi| over u = 0..L-4, plus the constraint's violation.
 
-    Evaluated in plain float64 on the emitted values; this is an internal
-    consistency check, independent of how phi was produced.
+    B is the balance operator ``model._balance``, whose fixed point the
+    ultimate row is. Evaluated in plain float64 on the emitted values;
+    this is an internal consistency check, independent of how phi was
+    produced.
     """
     phi = np.asarray(phi, dtype=np.float64)
     if phi.ndim != 1 or len(phi) < 8:
@@ -585,15 +588,7 @@ def residuals(model: ModelSpec, phi) -> Residuals:
     y0, y1 = y.p(0), y.p(1)
 
     n = len(phi) - 4
-    # balance sums sum_{k=1}^{u+4} phi(k) s_{u+4-k} for u = 0..n-1
-    balance = np.convolve(phi[1:], s.probs)[3 : n + 3]
-    xs = np.concatenate([x.probs, np.zeros(n + 4)])
-    rhs = (
-        balance
-        - (xs[3 : n + 3] * y0 + xs[2 : n + 2] * y1) * phi[1]
-        - xs[2 : n + 2] * y0 * phi[2]
-    )
-    worst = float(np.max(np.abs(phi[:n] - rhs)))
+    worst = float(np.max(np.abs(phi[:n] - _balance(model, phi, n))))
 
     lhs = math.fsum(
         [

@@ -63,6 +63,18 @@ def test_finite_tsv_and_digits(capsys):
     assert out.splitlines()[1] == "1\t0.7"
 
 
+def test_back_to_back_calls_carry_no_state(capsys):
+    # one parser serves every call; options of one call must not leak
+    args = ("finite", "--x", "dpois:1,0", "--y", "dpois:2,0",
+            "--u", "0", "--t", "1", "--format", "csv")
+    code, out, _ = run(capsys, *args, "--digits", "5")
+    assert code == 0 and out.splitlines()[1] == "1,0.73576"
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out.splitlines()[1] == "1,0.736"
+    code, _, err = run(capsys, "finite", "--x", "dpois:1,0")
+    assert code == 1 and "usage error" in err
+
+
 def test_raw_roundtrip(capsys):
     from ruinwalk import ModelSpec, make_displaced_poisson, survival_finite
 

@@ -7,6 +7,7 @@ import pytest
 
 from ruinwalk import (
     ModelSpec,
+    classify,
     dp_oracle,
     dp_survival_curve,
     from_probs,
@@ -52,6 +53,28 @@ def test_grid_matches_dp_on_random_models():
             curve = dp_survival_curve(m, u, 9)
             for t in range(1, 10):
                 assert g.value(u, t) == pytest.approx(curve[t - 1], abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "x, y, case",
+    [
+        ((1.0, 0), (2.0, 0), ("A", None)),
+        ((0.8, 1), (1.5, 0), ("B", None)),
+        ((0.8, 1), (0.7, 1), ("C", "s.1")),
+        ((0.6, 2), (0.8, 0), ("C", "s.3")),
+    ],
+    ids=["A", "B", "C.s1", "C.s3"],
+)
+def test_long_horizon_grid_matches_dp(x, y, case):
+    # the benchmark's finite grids run to T = 2000; a thousand layer
+    # steps must not drift from the forward DP
+    m = ModelSpec(x=make_displaced_poisson(*x), y=make_displaced_poisson(*y))
+    tag = classify(m)
+    assert (tag.kind.value, tag.scenario) == case
+    g = survival_finite(m, u_max=30, t_max=1000)
+    for u in (0, 30):
+        gap = np.max(np.abs(g.values[u] - dp_survival_curve(m, u, 1000)))
+        assert gap < 1e-12
 
 
 def test_grid_shape_and_edges(ex1):

@@ -13,7 +13,6 @@ from ruinwalk import (
     make_displaced_poisson,
     parse_pmf_spec,
     point_mass,
-    summarize,
 )
 from ruinwalk.cli import main
 
@@ -193,10 +192,3 @@ def test_parse_file_rejects_interior_blank_line(tmp_path, capsys):
         parse_pmf_spec(f"@{f}")
     assert main(["classify", "--x", f"@{f}", "--y", "dpois:1,0"]) == 2
     assert "blank line" in capsys.readouterr().err
-
-
-def test_summarize():
-    s = summarize(from_probs([0.5, 0.5]))
-    assert math.isclose(s.mean, 0.5)
-    assert math.isclose(s.cdf[0], 0.5)
-    assert math.isclose(s.tail[0], 0.5)
