@@ -271,12 +271,6 @@ def _cmd_classify(ns) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    if ns.u < 0:
-        raise InvalidModelError("--u must be >= 0")
-    if ns.t < 1:
-        raise InvalidModelError("--t must be >= 1")
-    if ns.trials < 1:
-        raise InvalidModelError("--trials must be >= 1")
     model = _model_from(ns)
     est = mc_estimate(model, u=ns.u, t=ns.t, trials=ns.trials, seed=ns.seed)
     print(f"u: {ns.u}")

@@ -13,8 +13,14 @@ internal u range widens by 2 per horizon step; only the requested window
 is materialized.
 
 Two independent validators live here as well: a forward dynamic program
-over the surplus (shares nothing with the recursion above) and a
-counter-based Monte Carlo estimator.
+over the surplus (shares nothing with the recursion above) and a Monte
+Carlo estimator. The estimator reads one Philox stream in order: trial i
+takes raw outputs i*t .. (i+1)*t - 1, a period's claim is the number of
+cdf entries <= (raw >> 11) * 2^-53, and a draw past the retained mass
+means ruin. A per-season guide table turns almost every draw into its
+surplus step with one lookup; the rest meet exact integer thresholds.
+Chunking the trials and splitting long horizons into time blocks bound
+the memory and never change the estimate.
 """
 
 from __future__ import annotations
@@ -27,12 +33,19 @@ import numpy as np
 from .errors import InvalidModelError
 from .model import ModelSpec, _balance
 
-# Monte Carlo chunks: at most _MC_CHUNK trials and _MC_CHUNK_DOUBLES
-# uniforms (trials x horizon) each, so horizons up to 256 keep full
-# chunks. Chunk sizes stay multiples of 4, which keeps Philox counters
-# aligned.
-_MC_CHUNK = 65536
-_MC_CHUNK_DOUBLES = _MC_CHUNK * 256
+# Monte Carlo chunk budget: one chunk's temporaries stay under
+# _MC_CHUNK_DOUBLES doubles (8 bytes each), whatever the trial count or
+# the horizon. A chunk holds at most _MC_CHUNK_DOUBLES / 16 draws, so
+# each draw has 128 bytes of budget against about 25 bytes of buffers
+# (raw output, table index, step, a flag byte) and at most 60 of per-trial
+# state. The guide tables get at most _MC_CHUNK_DOUBLES / 64 buckets
+# per season.
+_MC_CHUNK_DOUBLES = 1 << 20
+# Guide-table buckets per season: at most 2^12, so about atoms / 4096
+# of the draws need the exact threshold search.
+_MC_GUIDE_BITS = 12
+# Guide-table code for a bucket whose draws need the exact search.
+_MC_EXACT = np.iinfo(np.int64).min
 
 
 @dataclass(frozen=True)
@@ -123,46 +136,92 @@ class McEstimate:
     seed: int
 
 
-def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McEstimate:
-    """Monte Carlo survival estimate with counter-based, chunk-independent RNG.
+def _guide(pmf, bits: int):
+    """Integer cdf thresholds and a guide table of surplus steps.
 
-    Trial i consumes uniforms at Philox stream positions [i*t, (i+1)*t),
-    so results depend only on (seed, trial index), not on chunking. A chunk
-    holds its trials' uniforms, at most _MC_CHUNK_DOUBLES of them unless
-    the horizon alone exceeds a quarter of that. Draws landing beyond the
-    retained mass count as non-survival, matching the truncated-model
-    semantics of survival_finite.
+    A draw k = raw >> 11 stands for the uniform k * 2^-53, which is at
+    least cdf[j] exactly when k >= ceil(cdf[j] * 2^53); the claim is the
+    number of thresholds <= k. Bucket b holds the k sharing their top
+    ``bits`` bits. Its entry is the step 2 - claim when every k in it has
+    the same claim and that claim is retained, else _MC_EXACT: a
+    threshold cuts the bucket or it lies past the retained mass.
+    """
+    thresholds = np.ceil(np.cumsum(pmf.probs) * 2.0**53).astype(np.int64)
+    lo = np.arange(1 << bits, dtype=np.int64) << (53 - bits)
+    first = np.searchsorted(thresholds, lo, side="right")
+    last = np.searchsorted(thresholds, lo + (1 << (53 - bits)) - 1, side="right")
+    exact = (first != last) | (first == len(thresholds))
+    return thresholds, np.where(exact, _MC_EXACT, 2 - first)
+
+
+def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McEstimate:
+    """Monte Carlo survival estimate from one counter-based Philox stream.
+
+    Trial i reads the raw outputs i*t .. (i+1)*t - 1 of Philox(key=seed),
+    in order. Its period j + 1 draws from x when j is even and from y when
+    j is odd; the claim is the number of cdf entries <= (raw >> 11) * 2^-53,
+    the uniform ``Generator.random`` makes of that output. A draw past the
+    retained mass means ruin, matching the truncated-model semantics of
+    survival_finite. A trial survives when its surplus u + sum(2 - claim)
+    stays >= 1 after every period.
+
+    Each chunk of trials maps its draws to steps through a guide table
+    (exact integer compares for draws in buckets that a cdf entry cuts),
+    takes prefix sums, and keeps the lowest. A trial whose horizon alone
+    exceeds the chunk budget runs in time blocks that carry the surplus
+    and its running minimum. Neither chunking nor time blocking changes
+    the estimate.
     """
     if trials < 1:
         raise InvalidModelError("trials must be >= 1")
     if u < 0 or t < 1:
         raise InvalidModelError("need u >= 0 and t >= 1")
-    if seed < 0 or seed != int(seed):
-        raise InvalidModelError("seed must be a nonnegative integer")
+    if seed != int(seed) or not 0 <= seed < 2**128:
+        raise InvalidModelError("seed must be an integer in [0, 2**128)")
 
-    # period j + 1 draws from x when j is even, from y when odd
-    cdfs = (np.cumsum(model.x.probs), np.cumsum(model.y.probs))
+    budget = _MC_CHUNK_DOUBLES
+    bits = max(1, min(_MC_GUIDE_BITS, (budget // 64).bit_length() - 1))
+    (kx, gx), (ky, gy) = _guide(model.x, bits), _guide(model.y, bits)
+    table = np.concatenate((gx, gy))  # y buckets sit 2^bits above x's
+    draws = max(2, budget // 16 // 2 * 2)
+    rows = min(trials, max(1, draws // t))
+    # below t only in one-trial chunks; even, so every block opens on x
+    width = min(t, draws)
+    idx = np.empty(rows * width, dtype=np.int64)
+    steps = np.empty_like(idx)
+    starts = np.arange(0, rows * width, width)
+    floor = max(1 - u, np.iinfo(np.int64).min)
 
-    chunk = min(_MC_CHUNK, max(4, _MC_CHUNK_DOUBLES // t // 4 * 4))
-    buf = np.empty((min(chunk, trials), t))
+    bit_gen = np.random.Philox(key=int(seed))
     survived = 0
-    for start in range(0, trials, chunk):
-        rows = min(chunk, trials - start)
-        bit_gen = np.random.Philox(key=seed)
-        # one Philox counter block is 4 doubles; start*t is a multiple of 4
-        bit_gen.advance((start * t) // 4)
-        unif = np.random.Generator(bit_gen).random(out=buf[:rows])
-        surplus = np.full(rows, u, dtype=np.int64)
-        alive = np.ones(rows, dtype=bool)
-        for j in range(t):
-            cdf = cdfs[j % 2]
-            idx = np.searchsorted(cdf, unif[:, j], side="right")
-            beyond = idx >= len(cdf)
-            claims = np.where(beyond, 0, idx)
-            surplus += 2 - claims
-            alive &= ~beyond
-            alive &= surplus >= 1
-        survived += int(np.count_nonzero(alive))
+    for first in range(0, trials, rows):
+        n = min(rows, trials - first)
+        level = np.zeros(n, dtype=np.int64)  # surplus - u before the block
+        low = np.full(n, np.iinfo(np.int64).max)  # lowest surplus - u yet
+        ruined = np.zeros(n, dtype=bool)
+        for offset in range(0, t, width):
+            w = min(width, t - offset)
+            raw = bit_gen.random_raw(n * w)
+            index, step = idx[: n * w], steps[: n * w]
+            np.right_shift(raw, 64 - bits, out=index.view(np.uint64))
+            index.reshape(n, w)[:, 1::2] += 1 << bits
+            np.take(table, index, out=step, mode="wrap")
+            pos = np.flatnonzero(step == _MC_EXACT)
+            odd = (pos % w) & 1 == 1
+            k = (raw[pos] >> 11).astype(np.int64)
+            claim = np.where(odd, np.searchsorted(ky, k, side="right"),
+                             np.searchsorted(kx, k, side="right"))
+            ruin = claim == np.where(odd, len(ky), len(kx))
+            step[pos] = np.where(ruin, 0, 2 - claim)
+            ruined[pos[ruin] // w] = True
+            # one running sum over the whole block; each row subtracts
+            # the sum in front of it
+            path = np.cumsum(step, out=step)
+            ends = path[w - 1 :: w]
+            before = np.concatenate(([0], ends[:-1]))
+            np.minimum(low, level + np.minimum.reduceat(path, starts[:n]) - before, out=low)
+            level += ends - before
+        survived += int(np.count_nonzero((low >= floor) & ~ruined))
 
     p_hat = survived / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)

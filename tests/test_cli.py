@@ -138,6 +138,19 @@ def test_simulate_deterministic(capsys):
     assert "estimate: " in out1 and "stderr: " in out1
 
 
+def test_simulate_rejects_bad_input(capsys):
+    model = ("--x", "dpois:1,0", "--y", "dpois:2,0")
+    for bad in (("--u", "-1", "--t", "5"), ("--u", "1", "--t", "0"),
+                ("--u", "1", "--t", "5", "--trials", "0"),
+                ("--u", "1", "--t", "5", "--seed", "-1"),
+                ("--u", "1", "--t", "5", "--seed", str(2**128))):
+        code, _, err = run(capsys, "simulate", *model, *bad)
+        assert code == 2 and err.startswith("error: "), bad
+    code, out, _ = run(capsys, "simulate", *model, "--u", "1", "--t", "5",
+                       "--trials", "100", "--seed", str(2**128 - 1))
+    assert code == 0 and "seed: 340282366920938463463374607431768211455" in out
+
+
 def test_conjecture_subcommand(capsys):
     code, out, _ = run(capsys, "conjecture", "--which", "2", "--x", "dpois:1,1",
                        "--y", "dpois:1.9,0", "--n-max", "12", "--format", "csv")

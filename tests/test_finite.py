@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ruinwalk import (
+    InvalidModelError,
     ModelSpec,
     classify,
     dp_oracle,
@@ -165,3 +166,115 @@ def test_mc_stderr_formula(ex1):
     est = mc_estimate(ex1, u=0, t=2, trials=10000, seed=1)
     want = math.sqrt(est.estimate * (1 - est.estimate) / est.trials)
     assert est.stderr == pytest.approx(want, rel=1e-12)
+
+
+def _per_period_reference(model, u, t, trials, seed):
+    # the estimator as it stood before the guide-table kernel: uniforms
+    # from Generator.random, one searchsorted per period
+    chunk_trials, chunk_doubles = 65536, 65536 * 256
+    cdfs = (np.cumsum(model.x.probs), np.cumsum(model.y.probs))
+    chunk = min(chunk_trials, max(4, chunk_doubles // t // 4 * 4))
+    buf = np.empty((min(chunk, trials), t))
+    survived = 0
+    for start in range(0, trials, chunk):
+        rows = min(chunk, trials - start)
+        bit_gen = np.random.Philox(key=seed)
+        bit_gen.advance((start * t) // 4)
+        unif = np.random.Generator(bit_gen).random(out=buf[:rows])
+        surplus = np.full(rows, u, dtype=np.int64)
+        alive = np.ones(rows, dtype=bool)
+        for j in range(t):
+            cdf = cdfs[j % 2]
+            idx = np.searchsorted(cdf, unif[:, j], side="right")
+            beyond = idx >= len(cdf)
+            claims = np.where(beyond, 0, idx)
+            surplus += 2 - claims
+            alive &= ~beyond
+            alive &= surplus >= 1
+        survived += int(np.count_nonzero(alive))
+    p_hat = survived / trials
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    return p_hat, stderr
+
+
+def test_mc_matches_per_period_reference(ex1, monkeypatch):
+    import ruinwalk.finite as finite
+    from ruinwalk import Pmf
+
+    rng = np.random.default_rng(2718)
+    lossy = Pmf(probs=np.array([0.5, 0.3, 0.19]), mass_defect=0.01, tail_mean_bound=0.05)
+    truncated = make_displaced_poisson(1.5, 0, tail_tol=1e-6)
+    assert truncated.mass_defect > 0
+    dyadic = ModelSpec(x=from_probs([0.5, 0.25, 0.25]), y=from_probs([0.25, 0.5, 0.25]))
+    cases = [
+        (ex1, 0, 1, 3000, 1),
+        (ex1, 0, 2, 5000, 2),
+        (ex1, 3, 60, 4000, 7),
+        (ex1, 0, 3, 65536 + 17, 5),
+        (ModelSpec(x=lossy, y=truncated), 2, 6, 20000, 3),
+        (ModelSpec(x=truncated, y=lossy), 0, 9, 7001, 8),
+        (dyadic, 1, 11, 6000, 2**100),
+    ]
+    for _ in range(8):
+        m = random_model(rng)
+        cases.append((m, int(rng.integers(0, 4)), int(rng.integers(1, 30)),
+                      int(rng.integers(1, 6000)), int(rng.integers(0, 2**63))))
+    for m, u, t, trials, seed in cases:
+        want = _per_period_reference(m, u, t, trials, seed)
+        got = mc_estimate(m, u=u, t=t, trials=trials, seed=seed)
+        assert (got.estimate, got.stderr) == want, (u, t, trials, seed)
+
+    # a budget of 32 draws per chunk: many trials per chunk at t <= 32,
+    # time blocks of one trial beyond
+    monkeypatch.setattr(finite, "_MC_CHUNK_DOUBLES", 1 << 9)
+    for m, u, t, trials, seed in cases[:3] + cases[4:7] + [(ex1, 2, 101, 300, 4), (ex1, 0, 64, 99, 6)]:
+        want = _per_period_reference(m, u, t, trials, seed)
+        got = mc_estimate(m, u=u, t=t, trials=trials, seed=seed)
+        assert (got.estimate, got.stderr) == want, (u, t, trials, seed)
+
+
+def test_mc_guide_table_exact_at_thresholds():
+    # draws one below, at and one above each threshold, where a bucket's
+    # claim changes: the integer compare agrees with the float compare
+    import ruinwalk.finite as finite
+
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        pmf = random_model(rng).x
+        cdf = np.cumsum(pmf.probs)
+        thresholds, table = finite._guide(pmf, 12)
+        k = np.clip(np.concatenate([thresholds + d for d in (-1, 0, 1)]), 0, 2**53 - 1)
+        want = np.searchsorted(cdf, k * 2.0**-53, side="right")
+        assert np.array_equal(np.searchsorted(thresholds, k, side="right"), want)
+        lookup = table[k >> 41]
+        hit = lookup != finite._MC_EXACT
+        assert np.array_equal(lookup[hit], 2 - want[hit])
+
+
+def test_mc_time_blocks_bound_memory(ex1, monkeypatch):
+    import tracemalloc
+
+    import ruinwalk.finite as finite
+
+    args = dict(u=0, t=10**5, trials=4, seed=14)
+    want = mc_estimate(ex1, **args)
+    # a trial's 10^5 draws far exceed a 2^12-double chunk: time blocks
+    cap = 1 << 12
+    monkeypatch.setattr(finite, "_MC_CHUNK_DOUBLES", cap)
+    tracemalloc.start()
+    try:
+        got = mc_estimate(ex1, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert 0 < got.estimate < 1
+    assert peak < 8 * cap
+
+
+def test_mc_seed_range(ex1):
+    with pytest.raises(InvalidModelError):
+        mc_estimate(ex1, u=1, t=3, trials=10, seed=2**128)
+    with pytest.raises(InvalidModelError):
+        mc_estimate(ex1, u=1, t=3, trials=10, seed=-1)
+    assert mc_estimate(ex1, u=1, t=3, trials=10, seed=2**128 - 1).seed == 2**128 - 1
