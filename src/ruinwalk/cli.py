@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import math
 import os
 import sys
@@ -73,25 +72,30 @@ def _fmt_det(value, raw: bool) -> str:
     return mp.nstr(value, 17) if raw else mp.nstr(value, 7, strip_zeros=False)
 
 
-def _emit_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
+def _emit_table(header: list[str], rows, fmt: str) -> None:
+    """Print a table. csv and tsv stream ``rows`` (any iterable of cell
+    lists) to stdout one row at a time; markdown needs every row first to
+    size its columns."""
+    out = sys.stdout
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        return buf.getvalue().rstrip("\n")
+        return
     if fmt == "tsv":
-        lines = ["\t".join(header)] + ["\t".join(r) for r in rows]
-        return "\n".join(lines)
+        out.write("\t".join(header) + "\n")
+        out.writelines("\t".join(r) + "\n" for r in rows)
+        return
+    rows = list(rows)
     widths = [len(h) for h in header]
     for r in rows:
         for i, cell in enumerate(r):
             widths[i] = max(widths[i], len(cell))
     def line(cells):
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    out = [line(header), "| " + " | ".join("-" * w for w in widths) + " |"]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out)
+    lines = [line(header), "| " + " | ".join("-" * w for w in widths) + " |"]
+    lines.extend(line(r) for r in rows)
+    print("\n".join(lines))
 
 
 def _note(text: str, fmt: str) -> str:
@@ -213,13 +217,14 @@ def _cmd_finite(ns) -> int:
     t_lo, t_hi = _parse_span(ns.t, "--t", 1)
     model = _model_from(ns)
     grid = survival_finite(model, u_max=u_hi, t_max=t_hi)
-    us = list(range(u_lo, u_hi + 1))
-    header = ["T\\u"] + [str(u) for u in us]
-    rows = [
-        [str(t)] + [_fmt_prob(grid.value(u, t), ns.digits, ns.raw) for u in us]
-        for t in range(t_lo, t_hi + 1)
-    ]
-    print(_emit_table(header, rows, ns.format))
+    header = ["T\\u"] + [str(u) for u in range(u_lo, u_hi + 1)]
+    block = grid.values[u_lo:]
+    if ns.raw:
+        cell = repr
+    else:
+        cell = functools.partial(_fmt_prob, digits=ns.digits, raw=False)
+    rows = ([str(t), *map(cell, block[:, t - 1].tolist())] for t in range(t_lo, t_hi + 1))
+    _emit_table(header, rows, ns.format)
     print(_note(f"error_bound: {grid.error_bound:.3e}", ns.format))
     return 0
 
@@ -234,7 +239,7 @@ def _cmd_ultimate(ns) -> int:
     us = list(range(ns.u_max + 1))
     header = ["T\\u"] + [str(u) for u in us]
     rows = [["inf"] + [_fmt_prob(result.phi[u], ns.digits, ns.raw) for u in us]]
-    print(_emit_table(header, rows, ns.format))
+    _emit_table(header, rows, ns.format)
     det = "none" if result.determinant is None else _fmt_det(result.determinant, raw=False)
     bits = "none" if result.precision_bits is None else str(result.precision_bits)
     tail = ["none" if v is None else format(v, ".6g")
@@ -289,7 +294,7 @@ def _cmd_conjecture(ns) -> int:
     )
     header = ["n", "D_n"]
     rows = [[str(n), _fmt_det(v, ns.raw)] for n, v in enumerate(trace.values)]
-    print(_emit_table(header, rows, ns.format))
+    _emit_table(header, rows, ns.format)
     for text in (
         f"min_abs: {trace.min_abs:.6e}",
         f"abs_monotone: {'yes' if trace.abs_monotone else 'no'}",
@@ -307,8 +312,7 @@ def _cmd_conjecture(ns) -> int:
 def _cmd_verify(ns) -> int:
     chosen = ALL_TABLES if ns.table == "all" else (ALL_TABLES[int(ns.table) - 1],)
     any_fail = False
-    blocks = []
-    for table in chosen:
+    for i, table in enumerate(chosen):
         report = verify_table(table)
         by_cell = {(c.horizon, c.u): c.status for c in report.checks}
         status_text = {"ok": "ok", "flag": "flag", "fail": "FAIL"}
@@ -319,17 +323,15 @@ def _cmd_verify(ns) -> int:
         ]
         if table.ultimate_row is not None:
             rows.append(["inf"] + [status_text[by_cell[(None, u)]] for u in table.u_values])
-        lines = [
-            _note(f"{table.name}: x={table.x_spec} y={table.y_spec}", ns.format),
-            _emit_table(header, rows, ns.format),
-            _note(
-                f"{table.name}: {report.n_ok} ok, {report.n_flag} flagged, {report.n_fail} failed",
-                ns.format,
-            ),
-        ]
-        blocks.append("\n".join(lines))
+        if i:
+            print()
+        print(_note(f"{table.name}: x={table.x_spec} y={table.y_spec}", ns.format))
+        _emit_table(header, rows, ns.format)
+        print(_note(
+            f"{table.name}: {report.n_ok} ok, {report.n_flag} flagged, {report.n_fail} failed",
+            ns.format,
+        ))
         any_fail = any_fail or not report.passed
-    print("\n\n".join(blocks))
     print(_note(f"result: {'mismatch' if any_fail else 'ok'}", ns.format))
     return 4 if any_fail else 0
 

@@ -8,9 +8,19 @@ layer T = B . layer T - 2, from layer 0 = 1 and layer 1 = X(u + 1),
 
 where X is the cdf of the odd-period claim and s is the period-pair claim
 sum; B is ``model._balance``, the operator whose fixed point is the
-ultimate row. Layer T reads layer T - 2 four indices higher, so the
-internal u range widens by 2 per horizon step; only the requested window
-is materialized.
+ultimate row. Layer T reads layer T - 2 four indices higher, so the exact
+recursion needs u up to u_max + 2 (t_max - T). The Lundberg tail of the
+ultimate route (``ultimate._lundberg_tail``: psi(u) <= C e^(-R u), under
+2^-53 from u*) caps that window at w = max(u_max, u*) + smax, smax the
+support of s, when that is below u_max + 2 t_max. Every layer keeps
+u = 0..w, and the four cells above it hold the layer's far value: B
+applied to a constant, which is 1 for lossless models and the retained
+mass of s per pair for truncated ones. A filled cell is off by at most
+C e^(-R w), and B's sum weighs those cells with s atoms summing to at
+most 1, so the grid gains t_max C e^(-R w) in ``error_bound``. The work
+per horizon is then O(w + smax) whatever t_max is. Models with no net
+profit, or with no tail (u* = inf), keep the full window through the
+same loop.
 
 Two independent validators live here as well: a forward dynamic program
 over the surplus (shares nothing with the recursion above) and a Monte
@@ -31,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import ModelSpec, _balance
+from .model import ModelSpec, _balance, _forcing, net_profit_margin
+from .ultimate import _lundberg_tail
 
 # Monte Carlo chunk budget: one chunk's temporaries stay under
 # _MC_CHUNK_DOUBLES doubles (8 bytes each), whatever the trial count or
@@ -50,10 +61,12 @@ _MC_EXACT = np.iinfo(np.int64).min
 
 @dataclass(frozen=True)
 class SurvivalGrid:
-    """phi(u, T) for u = 0..u_max, T = 1..t_max, plus the truncation bound.
+    """phi(u, T) for u = 0..u_max, T = 1..t_max, plus the error bound.
 
     ``error_bound`` dominates the probability that any claim in a horizon
-    falls beyond the retained supports: t_max * (defect_x + defect_y).
+    falls beyond the retained supports, t_max * (defect_x + defect_y),
+    plus, when the Lundberg tail caps the window at w, t_max * C e^(-R w)
+    for the cells filled above it (0 when R is inf: psi vanishes there).
     """
 
     values: np.ndarray  # shape (u_max + 1, t_max); column T-1 is horizon T
@@ -72,22 +85,40 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     if u_max < 0 or t_max < 1:
         raise InvalidModelError("need u_max >= 0 and t_max >= 1")
 
+    full = u_max + 2 * t_max  # layer 0's reach without a tail
+    r, c, w = 0.0, 0.0, full
+    if net_profit_margin(model) > 0:
+        r, c, u_star = _lundberg_tail(model)
+        w = min(full, max(u_max, u_star) + model.s.support_max)
+
     def width(t):
-        return u_max + 2 * (t_max - t)
+        return min(u_max + 2 * (t_max - t), w)
 
     x = model.x
+    retained = 1.0 - model.s.mass_defect
+    forcing = _forcing(model, w + 1)
     grid = np.empty((u_max + 1, t_max))
-    # horizons T - 2 and T - 1 while sweeping; layer t covers u = 0..width(t)
-    older = np.ones(width(0) + 1)
-    # X(1..width+1), frozen at the retained total beyond the support
-    newer = x._cdf[np.minimum(np.arange(1, width(1) + 2), x.support_max)]
+    # horizons T - 2 and T - 1 while sweeping; each holds u = 0..w + 4,
+    # computed up to width(t) and filled with the layer's far value above
+    older = np.ones(w + 5)
+    # X(1..w+5), frozen at the retained total beyond the support
+    newer = x._cdf[np.minimum(np.arange(1, w + 6), x.support_max)]
+    spare = np.empty(w + 5)
     grid[:, 0] = newer[: u_max + 1]
     for t in range(2, t_max + 1):
-        layer = _balance(model, older, width(t) + 1)
+        n = width(t) + 1
+        layer, spare = spare, older
+        # far out B maps a constant to itself times the retained mass of s.
+        # older[-1] is a far value whenever the fill is read: a capped w
+        # passes the support of s, hence of x
+        layer[n:] = older[-1] * retained
+        layer[:n] = _balance(model, older, n, forcing)
         grid[:, t - 1] = layer[: u_max + 1]
         older, newer = newer, layer
 
     bound = t_max * (model.x.mass_defect + model.y.mass_defect)
+    if w < full and r < math.inf:
+        bound += t_max * c * math.exp(-r * w)
     return SurvivalGrid(values=grid, u_max=u_max, t_max=t_max, error_bound=bound)
 
 

@@ -74,22 +74,27 @@ class ModelSpec:
         return np.roots(np.trim_zeros(coeffs, "b"))
 
 
-def _balance(model: ModelSpec, v: np.ndarray, n: int) -> np.ndarray:
+def _forcing(model: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """B's x.y columns over u = 0..n-1: the coefficients
+    x_{u+3} y_0 + x_{u+2} y_1 of v(1) and x_{u+2} y_0 of v(2)."""
+    y0, y1 = model.y.p(0), model.y.p(1)
+    xs = np.concatenate([model.x.probs, np.zeros(n + 3)])
+    return xs[3 : n + 3] * y0 + xs[2 : n + 2] * y1, xs[2 : n + 2] * y0
+
+
+def _balance(model: ModelSpec, v: np.ndarray, n: int, forcing=None) -> np.ndarray:
     """(B v)(0..n-1) from v(0..n+3): the balance equations as one operator.
 
         (B v)(u) = sum_{k=1}^{u+4} s_{u+4-k} v(k)
                    - (x_{u+3} y_0 + x_{u+2} y_1) v(1) - x_{u+2} y_0 v(2)
 
     One period pair maps survival over T - 2 periods to survival over T,
-    and the ultimate row is the fixed point phi = B phi.
+    and the ultimate row is the fixed point phi = B phi. A caller applying
+    B many times passes ``forcing``, ``_forcing(model, m)`` for some m >= n,
+    so the x.y columns are built once.
     """
-    y0, y1 = model.y.p(0), model.y.p(1)
-    xs = np.concatenate([model.x.probs, np.zeros(n + 3)])
-    return (
-        np.convolve(v[1 : n + 4], model.s.probs)[3 : n + 3]
-        - (xs[3 : n + 3] * y0 + xs[2 : n + 2] * y1) * v[1]
-        - xs[2 : n + 2] * y0 * v[2]
-    )
+    c1, c2 = _forcing(model, n) if forcing is None else forcing
+    return np.convolve(v[1 : n + 4], model.s.probs)[3 : n + 3] - c1[:n] * v[1] - c2[:n] * v[2]
 
 
 def net_profit_margin(model: ModelSpec) -> float:

@@ -192,7 +192,12 @@ def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
     if not s.probs[INCOME_PER_PAIR + 1 :].any():
         x_max = int(np.flatnonzero(x.probs)[-1])
         return math.inf, 1.0 if x_max <= PREMIUM_PER_PERIOD else math.inf, max(1, x_max - 1)
-    z = model.balance_roots
+    try:
+        with np.errstate(over="ignore"):
+            z = model.balance_roots
+    except np.linalg.LinAlgError:
+        # a subnormal first s atom overflows np.roots' companion matrix
+        return 0.0, 1.0, math.inf
     z = z.real[(z.imag == 0) & (z.real > 0) & (z.real < 1)]
     r = -math.log(z.min()) if z.size else 0.0
     step = r * 2.0**-40

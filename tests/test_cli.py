@@ -88,6 +88,24 @@ def test_raw_roundtrip(capsys):
         assert float(cell) == g.value(u, 2)
 
 
+@pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+def test_finite_raw_cells_are_repr(capsys, fmt, sep):
+    # rows stream from the grid's columns; every cell is repr of its value
+    from ruinwalk import ModelSpec, make_displaced_poisson, survival_finite
+
+    code, out, _ = run(capsys, "finite", "--x", "dpois:1,0", "--y", "dpois:2,0",
+                       "--u", "3..9", "--t", "4..40", "--format", fmt, "--raw")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == sep.join(["T\\u"] + [str(u) for u in range(3, 10)])
+    m = ModelSpec(x=make_displaced_poisson(1.0, 0), y=make_displaced_poisson(2.0, 0))
+    g = survival_finite(m, u_max=9, t_max=40)
+    want = [sep.join([str(t)] + [repr(float(g.values[u, t - 1])) for u in range(3, 10)])
+            for t in range(4, 41)]
+    assert lines[1:-1] == want
+    assert lines[-1].startswith("# error_bound:")
+
+
 def test_ultimate_row_reference(capsys):
     code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,1", "--y", "dpois:0.9,1",
                        "--u-max", "40", "--format", "csv")

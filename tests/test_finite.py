@@ -14,10 +14,12 @@ from ruinwalk import (
     from_probs,
     make_displaced_poisson,
     mc_estimate,
+    parse_pmf_spec,
     point_mass,
     survival_finite,
 )
 from conftest import random_model
+from ruinwalk.model import _balance
 
 
 def test_one_period_row_is_shifted_cdf(ex1, ex2):
@@ -57,25 +59,58 @@ def test_grid_matches_dp_on_random_models():
 
 
 @pytest.mark.parametrize(
-    "x, y, case",
+    "x, y, tail_tol, case",
     [
-        ((1.0, 0), (2.0, 0), ("A", None)),
-        ((0.8, 1), (1.5, 0), ("B", None)),
-        ((0.8, 1), (0.7, 1), ("C", "s.1")),
-        ((0.6, 2), (0.8, 0), ("C", "s.3")),
+        ("dpois:1.0,0", "dpois:2.0,0", 1e-12, ("A", None)),
+        ("dpois:0.8,1", "dpois:1.5,0", 1e-12, ("B", None)),
+        ("dpois:0.8,1", "dpois:0.7,1", 1e-12, ("C", "s.1")),
+        ("dpois:0.6,2", "dpois:0.8,0", 1e-12, ("C", "s.3")),
+        ("dpois:0.8,0", "dpois:0.6,2", 1e-12, ("C", "s.2")),
+        ("dpois:0.5,2", "dpois:0.3,1", 1e-12, ("D", "v.1")),
+        ("dpois:1.0,0", "dpois:2.0,0", 1e-15, ("A", None)),
+        # no net profit: no tail, the full window
+        ("dpois:2.2,0", "dpois:2.2,0", 1e-12, ("no-net-profit", None)),
+        # no s atom above 4 and x_max > 2: R = inf and C = inf
+        ("pmf:0.5,0,0,0.5", "pmf:1", 1e-12, ("A", None)),
     ],
-    ids=["A", "B", "C.s1", "C.s3"],
+    ids=["A", "B", "C.s1", "C.s3", "C.s2", "D.v1", "A.tol15", "no-net-profit", "R.inf"],
 )
-def test_long_horizon_grid_matches_dp(x, y, case):
+def test_long_horizon_grid_matches_dp(x, y, tail_tol, case):
     # the benchmark's finite grids run to T = 2000; a thousand layer
-    # steps must not drift from the forward DP
-    m = ModelSpec(x=make_displaced_poisson(*x), y=make_displaced_poisson(*y))
+    # steps over a window capped by the Lundberg tail must not drift
+    # from the forward DP
+    m = ModelSpec(x=parse_pmf_spec(x, tail_tol), y=parse_pmf_spec(y, tail_tol))
     tag = classify(m)
     assert (tag.kind.value, tag.scenario) == case
     g = survival_finite(m, u_max=30, t_max=1000)
+    assert math.isfinite(g.error_bound)
     for u in (0, 30):
         gap = np.max(np.abs(g.values[u] - dp_survival_curve(m, u, 1000)))
         assert gap < 1e-12
+
+
+def test_window_stops_growing_with_t_max(monkeypatch):
+    # past the Lundberg cap every layer step applies B to the same number
+    # of cells, whatever the horizon
+    import ruinwalk.finite as finite
+
+    m = ModelSpec(x=make_displaced_poisson(1.0, 0), y=make_displaced_poisson(2.0, 0))
+    seen = []
+
+    def spy(model, v, n, forcing=None):
+        seen.append(n)
+        return _balance(model, v, n, forcing)
+
+    monkeypatch.setattr(finite, "_balance", spy)
+    widest = []
+    for t_max in (2000, 20000):
+        seen.clear()
+        g = survival_finite(m, u_max=30, t_max=t_max)
+        widest.append(max(seen))
+        # the cells filled above the cap add t_max * C e^(-R w) <= t_max 2^-53
+        cap_term = g.error_bound - t_max * (m.x.mass_defect + m.y.mass_defect)
+        assert 0 < cap_term <= t_max * 2.0**-53
+    assert widest[0] == widest[1] < 30 + 2 * 2000
 
 
 def test_grid_shape_and_edges(ex1):

@@ -84,6 +84,9 @@ def test_classification_partitions(wa, wb):
 
 @given(weights, weights)
 @settings(max_examples=40, deadline=None)
+# s_2 = x_1 y_1 is subnormal: np.roots cannot find the Lundberg root, so
+# the grid keeps its full window
+@example([0, 1, 0, 0.5], [0, 2.225073858507e-311, 1])
 def test_finite_grid_matches_dp_and_is_monotone(wa, wb):
     m = ModelSpec(x=from_probs(_normalize(wa)), y=from_probs(_normalize(wb)))
     g = survival_finite(m, u_max=3, t_max=6)
