@@ -6,9 +6,9 @@ rounding is presentation-only and --raw switches to full-precision
 values. Exit codes: 0 success, 1 usage, 2 validation, 3 numerical
 failure, 4 verification mismatch.
 
-Identical invocations (flags, seed, environment) produce byte-identical
-output: every code path below is deterministic and all iteration orders
-are fixed.
+Output depends on argv alone: identical invocations produce
+byte-identical output, since every code path below is deterministic and
+all iteration orders are fixed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import csv
 import functools
 import math
-import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -31,7 +30,8 @@ from .pmf import parse_pmf_spec
 from .reference_tables import ALL_TABLES, verify_table
 from .ultimate import survival_ultimate
 
-ENV_PRECISION = "RUINWALK_PRECISION_BITS"
+# the most places the default 28-digit decimal context can round 1.0 to
+MAX_DIGITS = 27
 
 
 class _UsageError(Exception):
@@ -48,13 +48,10 @@ class _Parser(argparse.ArgumentParser):
 # ---- rendering ----
 
 
-def _fmt_prob(value: float, digits: int, raw: bool) -> str:
+def _fmt_prob(value: float, digits: int) -> str:
     """Presentation rounding: half away from zero, trailing zeros trimmed
-    (so exact 0 and 1 print bare). Raw mode emits repr unclamped."""
-    v = float(value)
-    if raw:
-        return repr(v)
-    v = min(1.0, max(0.0, v))
+    (so exact 0 and 1 print bare)."""
+    v = min(1.0, max(0.0, float(value)))
     q = Decimal(repr(v)).quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
     s = format(q, "f")
     if "." in s:
@@ -130,20 +127,14 @@ def _parse_span(text: str, flag: str, minimum: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _resolve_bits(ns) -> int | None:
-    if ns.precision_bits is not None:
-        bits = ns.precision_bits
-    else:
-        raw = os.environ.get(ENV_PRECISION)
-        if raw is None:
-            return None
-        try:
-            bits = int(raw)
-        except ValueError:
-            raise InvalidModelError(f"{ENV_PRECISION} must be an integer, got {raw!r}") from None
-    if bits < 64:
-        raise InvalidModelError("precision must be at least 64 bits")
-    return bits
+def _cell_format(ns):
+    """The probability cell renderer: repr unclamped under --raw, else
+    ``_fmt_prob`` at --digits places."""
+    if not 0 <= ns.digits <= MAX_DIGITS:
+        raise InvalidModelError(f"--digits must lie in 0..{MAX_DIGITS}, got {ns.digits}")
+    if ns.raw:
+        return repr
+    return functools.partial(_fmt_prob, digits=ns.digits)
 
 
 def _model_from(ns) -> ModelSpec:
@@ -158,36 +149,37 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ruinwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "tsv", "markdown"), default="markdown")
-    common.add_argument("--digits", type=int, default=3, help="presentation rounding (default 3)")
-    common.add_argument("--raw", action="store_true", help="emit full-precision values")
-    common.add_argument("--tail-tol", type=float, default=1e-12,
-                        help="truncation tail mass for dpois specs")
-    common.add_argument("--precision-bits", type=int, default=None,
-                        help=f"working precision (default 256 or ${ENV_PRECISION})")
-
+    # each subcommand takes only the flags it reads
     model_args = argparse.ArgumentParser(add_help=False)
     model_args.add_argument("--x", required=True, help="odd-period claim PMF spec")
     model_args.add_argument("--y", required=True, help="even-period claim PMF spec")
+    model_args.add_argument("--tail-tol", type=float, default=1e-12,
+                            help="truncation tail mass for dpois specs")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "tsv", "markdown"), default="markdown")
+    raw = argparse.ArgumentParser(add_help=False)
+    raw.add_argument("--raw", action="store_true", help="emit full-precision values")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=3,
+                        help=f"presentation rounding, 0..{MAX_DIGITS} (default 3)")
+    prob_table = [model_args, fmt, raw, digits]
 
-    p = sub.add_parser("finite", parents=[common, model_args],
+    p = sub.add_parser("finite", parents=prob_table,
                        help="grid of finite-horizon survival probabilities")
     p.add_argument("--u", required=True, help="initial surplus span a..b")
     p.add_argument("--t", required=True, help="horizon span a..b")
     p.set_defaults(func=_cmd_finite)
 
-    p = sub.add_parser("ultimate", parents=[common, model_args],
+    p = sub.add_parser("ultimate", parents=prob_table,
                        help="ultimate survival row plus solve diagnostics")
     p.add_argument("--u-max", required=True, type=int)
-    p.add_argument("--n-solve", type=int, default=150)
     p.set_defaults(func=_cmd_ultimate)
 
-    p = sub.add_parser("classify", parents=[common, model_args],
+    p = sub.add_parser("classify", parents=[model_args],
                        help="case tag and net profit margin")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("simulate", parents=[common, model_args],
+    p = sub.add_parser("simulate", parents=[model_args],
                        help="Monte Carlo estimate of finite-horizon survival")
     p.add_argument("--u", required=True, type=int)
     p.add_argument("--t", required=True, type=int)
@@ -195,13 +187,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("conjecture", parents=[common, model_args],
+    p = sub.add_parser("conjecture", parents=[model_args, fmt, raw],
                        help="determinant trace and chain-violation report")
     p.add_argument("--which", required=True, type=int, choices=(1, 2))
     p.add_argument("--n-max", type=int, default=100)
     p.set_defaults(func=_cmd_conjecture)
 
-    p = sub.add_parser("verify-paper", parents=[common],
+    p = sub.add_parser("verify-paper", parents=[fmt],
                        help="recompute the bundled reference tables and compare")
     p.add_argument("--table", choices=("1", "2", "3", "4", "5", "all"), default="all")
     p.set_defaults(func=_cmd_verify)
@@ -215,14 +207,11 @@ def _build_parser() -> _Parser:
 def _cmd_finite(ns) -> int:
     u_lo, u_hi = _parse_span(ns.u, "--u", 0)
     t_lo, t_hi = _parse_span(ns.t, "--t", 1)
+    cell = _cell_format(ns)
     model = _model_from(ns)
     grid = survival_finite(model, u_max=u_hi, t_max=t_hi)
     header = ["T\\u"] + [str(u) for u in range(u_lo, u_hi + 1)]
     block = grid.values[u_lo:]
-    if ns.raw:
-        cell = repr
-    else:
-        cell = functools.partial(_fmt_prob, digits=ns.digits, raw=False)
     rows = ([str(t), *map(cell, block[:, t - 1].tolist())] for t in range(t_lo, t_hi + 1))
     _emit_table(header, rows, ns.format)
     print(_note(f"error_bound: {grid.error_bound:.3e}", ns.format))
@@ -230,15 +219,11 @@ def _cmd_finite(ns) -> int:
 
 
 def _cmd_ultimate(ns) -> int:
-    if ns.u_max < 0:
-        raise InvalidModelError("--u-max must be >= 0")
+    cell = _cell_format(ns)
     model = _model_from(ns)
-    result = survival_ultimate(
-        model, u_max=ns.u_max, n_solve=ns.n_solve, precision_bits=_resolve_bits(ns)
-    )
-    us = list(range(ns.u_max + 1))
-    header = ["T\\u"] + [str(u) for u in us]
-    rows = [["inf"] + [_fmt_prob(result.phi[u], ns.digits, ns.raw) for u in us]]
+    result = survival_ultimate(model, u_max=ns.u_max)
+    header = ["T\\u"] + [str(u) for u in range(ns.u_max + 1)]
+    rows = [["inf", *map(cell, result.phi.tolist())]]
     _emit_table(header, rows, ns.format)
     det = "none" if result.determinant is None else _fmt_det(result.determinant, raw=False)
     bits = "none" if result.precision_bits is None else str(result.precision_bits)
@@ -289,9 +274,7 @@ def _cmd_simulate(ns) -> int:
 
 def _cmd_conjecture(ns) -> int:
     model = _model_from(ns)
-    trace = determinant_trace(
-        model, which=ns.which, n_max=ns.n_max, precision_bits=_resolve_bits(ns)
-    )
+    trace = determinant_trace(model, which=ns.which, n_max=ns.n_max)
     header = ["n", "D_n"]
     rows = [[str(n), _fmt_det(v, ns.raw)] for n, v in enumerate(trace.values)]
     _emit_table(header, rows, ns.format)

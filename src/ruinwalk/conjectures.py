@@ -83,12 +83,7 @@ def _suspicious(det, rows, bits: int) -> bool:
     return mp.mag(det) < dim * top - (bits - 48)
 
 
-def determinant_trace(
-    model: ModelSpec,
-    which: int,
-    n_max: int = 100,
-    precision_bits: int | None = None,
-) -> DeterminantTrace:
+def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> DeterminantTrace:
     """Compute det M_n for n = 0..n_max and check the conjectured chains.
 
     ``which`` selects the system: 1 for the case A 3x3 matrix, 2 for the
@@ -107,7 +102,7 @@ def determinant_trace(
     if n_max < 1:
         raise InvalidModelError("n_max must be at least 1")
 
-    seqs = build_sequences(model, tag, n_max=n_max + 3, precision_bits=precision_bits)
+    seqs = build_sequences(model, tag, n_max=n_max + 3)
     bits = seqs.precision_bits
     stride = 2 if which == 1 else 1
     violations: list[tuple[int, str]] = []
@@ -173,11 +168,7 @@ class ChainReport:
     precision_bits: int
 
 
-def coefficient_chain(
-    model: ModelSpec,
-    n_max: int = 100,
-    precision_bits: int | None = None,
-) -> ChainReport:
+def coefficient_chain(model: ModelSpec, n_max: int = 100) -> ChainReport:
     """Probe the scalar solvability condition for case C models.
 
     Scenarios s.1/s.2: consecutive differences of the phi(0) coefficient
@@ -190,7 +181,7 @@ def coefficient_chain(
     if n_max < 3:
         raise InvalidModelError("n_max must be at least 3")
 
-    seqs = build_sequences(model, tag, n_max=n_max + 1, precision_bits=precision_bits)
+    seqs = build_sequences(model, tag, n_max=n_max + 1)
     violations: list[tuple[int, str]] = []
     with mp.workprec(seqs.precision_bits):
         if tag.scenario in ("s.1", "s.2"):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidModelError, PrecisionError
+from .errors import InvalidModelError, NumericalError, PrecisionError
 from .pmf import Pmf, convolve
 
 PREMIUM_PER_PERIOD = 2
@@ -64,6 +64,8 @@ class ModelSpec:
 
         Each is a mode z^n of the balance recurrence the ultimate route
         runs; the precision budget and the Lundberg tail both read them.
+        A subnormal first positive s atom raises NumericalError: np.roots
+        divides by it, which overflows float64.
         """
         s = self.s
         coeffs = np.zeros(max(s.support_max, INCOME_PER_PAIR) + 1)
@@ -71,7 +73,14 @@ class ModelSpec:
         coeffs[INCOME_PER_PAIR] -= 1.0
         # np.roots drops the leading zeros (s_k = 0 below the first
         # positive atom) itself; trailing ones would come back as roots 0
-        return np.roots(np.trim_zeros(coeffs, "b"))
+        coeffs = np.trim_zeros(coeffs, "b")
+        m = int(np.flatnonzero(coeffs)[0])
+        if abs(coeffs[m]) < np.finfo(np.float64).tiny:
+            raise NumericalError(
+                f"the first positive s atom s_{m} = {float(coeffs[m])!r} is subnormal; "
+                "the balance recurrence's roots overflow float64"
+            )
+        return np.roots(coeffs)
 
 
 def _forcing(model: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:

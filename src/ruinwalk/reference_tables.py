@@ -44,10 +44,10 @@ class ReferenceTable:
     ultimate_row: tuple[float, ...] | None
     flagged_expected: bool = False
 
-    def model(self, tail_tol: float = 1e-12) -> ModelSpec:
+    def model(self) -> ModelSpec:
         return ModelSpec(
-            x=make_displaced_poisson(self.x_lam, self.x_shift, tail_tol=tail_tol),
-            y=make_displaced_poisson(self.y_lam, self.y_shift, tail_tol=tail_tol),
+            x=make_displaced_poisson(self.x_lam, self.x_shift),
+            y=make_displaced_poisson(self.y_lam, self.y_shift),
         )
 
     @property
@@ -194,8 +194,9 @@ class TableReport:
         return self.n_fail == 0
 
 
-def verify_table(table: ReferenceTable, tol: float = MATCH_TOL) -> TableReport:
-    """Recompute every cell of one reference table and compare within tol.
+def verify_table(table: ReferenceTable) -> TableReport:
+    """Recompute every cell of one reference table and compare within
+    MATCH_TOL.
 
     Mismatches become "fail" normally, "flag" when the table is marked
     flagged_expected (a known-inconsistent table must not abort runs).
@@ -210,18 +211,14 @@ def verify_table(table: ReferenceTable, tol: float = MATCH_TOL) -> TableReport:
     for horizon, row in sorted(table.finite_rows.items()):
         for u, expected in zip(table.u_values, row):
             got = float(grid.value(u, horizon))
-            ok = abs(got - expected) <= tol
+            ok = abs(got - expected) <= MATCH_TOL
             checks.append(CellCheck(table.name, u, horizon, float(expected), got, "ok" if ok else miss))
 
     if table.ultimate_row is not None:
         ult = survival_ultimate(model, u_max=u_max)
         for u, expected in zip(table.u_values, table.ultimate_row):
             got = float(ult.phi[u])
-            ok = abs(got - expected) <= tol
+            ok = abs(got - expected) <= MATCH_TOL
             checks.append(CellCheck(table.name, u, None, float(expected), got, "ok" if ok else miss))
 
     return TableReport(name=table.name, checks=checks)
-
-
-def verify_all(tol: float = MATCH_TOL) -> list[TableReport]:
-    return [verify_table(t, tol=tol) for t in ALL_TABLES]

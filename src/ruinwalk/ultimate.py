@@ -84,6 +84,7 @@ from .pmf import Pmf
 
 DEFAULT_PRECISION_BITS = 256
 SOLVE_AGREE_TOL = 1e-9
+N_SOLVE_MIN = 150
 N_SOLVE_CAP = 2000
 
 
@@ -144,7 +145,7 @@ class _Atoms:
         return mp.ldexp(self._margin, -self.es)
 
 
-def _budget(model: ModelSpec, tag: CaseTag, n: int, floor: int | None) -> int:
+def _budget(model: ModelSpec, tag: CaseTag, n: int) -> int:
     """Working bits for coefficients and values up to index n.
 
     Each root z of the balance recurrence (``ModelSpec.balance_roots``)
@@ -152,12 +153,12 @@ def _budget(model: ModelSpec, tag: CaseTag, n: int, floor: int | None) -> int:
     magnitudes; Cramer's rule on the dim x dim difference system (dim as
     in ``_free_indices``) then cancels the sum of (g_1 - g_j) over the
     next dim - 1 modes. On top: 53 bits of float64 accuracy and a 64-bit
-    guard.
+    guard, and never fewer than DEFAULT_PRECISION_BITS in all.
     """
     g = np.sort(np.log2(np.abs(model.balance_roots)))[::-1]
     dim = len(_free_indices(tag))
     per_index = g[0] + sum(g[0] - g[j] for j in range(1, dim))
-    return max(floor or DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
+    return max(DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
 
 
 def _mgf(p: Pmf, r: float, shift: int) -> float:
@@ -193,10 +194,9 @@ def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
         x_max = int(np.flatnonzero(x.probs)[-1])
         return math.inf, 1.0 if x_max <= PREMIUM_PER_PERIOD else math.inf, max(1, x_max - 1)
     try:
-        with np.errstate(over="ignore"):
-            z = model.balance_roots
-    except np.linalg.LinAlgError:
-        # a subnormal first s atom overflows np.roots' companion matrix
+        z = model.balance_roots
+    except NumericalError:
+        # a subnormal first s atom has no float64 roots: no tail
         return 0.0, 1.0, math.inf
     z = z.real[(z.imag == 0) & (z.real > 0) & (z.real < 1)]
     r = -math.log(z.min()) if z.size else 0.0
@@ -326,20 +326,19 @@ class SequenceSet:
     precision_bits: int
 
 
-def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int,
-               precision_bits: int | None) -> tuple[list[list[int]], int]:
+def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[list[list[int]], int]:
     """The coefficient sequences up to index n_max as integers scaled by
     2^bits, in the order of ``_free_indices`` with the margin's last, and
     bits.
 
     Each is the forward recurrence run from the head of one unit vector
     over the free values (margin 0), or of the zero vector with margin 1,
-    bits being the budget ``_budget`` sets for n_max (never below
-    ``precision_bits``). If the realized magnitudes still get within 64
-    bits of that budget, NumericalError is raised.
+    bits being the budget ``_budget`` sets for n_max. If the realized
+    magnitudes still get within 64 bits of that budget, NumericalError is
+    raised.
     """
     free = _free_indices(tag)
-    bits = _budget(model, tag, n_max, precision_bits)
+    bits = _budget(model, tag, n_max)
     with mp.workprec(bits):
         zero, one = mp.mpf(0), mp.mpf(1)
         heads = [_head(tag, at, [one if i == k else zero for k in free], zero) for i in free]
@@ -353,12 +352,7 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int,
     return seqs, bits
 
 
-def build_sequences(
-    model: ModelSpec,
-    tag: CaseTag | None = None,
-    n_max: int = 153,
-    precision_bits: int | None = None,
-) -> SequenceSet:
+def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 153) -> SequenceSet:
     """Generate the representation coefficients up to index n_max.
 
     The sequences come from ``_sequences``; entries are returned as mpf at
@@ -372,7 +366,7 @@ def build_sequences(
     if n_max < 4:
         raise InvalidModelError("n_max must be at least 4")
 
-    seqs, bits = _sequences(model, tag, _Atoms(model), n_max, precision_bits)
+    seqs, bits = _sequences(model, tag, _Atoms(model), n_max)
     with mp.workprec(bits):
         for seq in seqs:  # in place, so that only one copy is held at a time
             for n, v in enumerate(seq):
@@ -445,8 +439,8 @@ def _solve_at(tag: CaseTag, seqs: list[list[int]], bits: int, at: _Atoms, n: int
     return _head(tag, at, sol, margin), det
 
 
-def _solve_case_d(model: ModelSpec, tag: CaseTag, precision_bits: int | None) -> InitialValues:
-    bits = _budget(model, tag, 0, precision_bits)
+def _solve_case_d(model: ModelSpec, tag: CaseTag) -> InitialValues:
+    bits = _budget(model, tag, 0)
     at = _Atoms(model)
     with mp.workprec(bits):
         m = at.margin
@@ -472,12 +466,8 @@ def _solve_case_d(model: ModelSpec, tag: CaseTag, precision_bits: int | None) ->
     )
 
 
-def solve_initials(
-    model: ModelSpec,
-    tag: CaseTag | None = None,
-    n_solve: int = 150,
-    precision_bits: int | None = None,
-) -> InitialValues:
+def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
+                   n_solve: int = N_SOLVE_MIN) -> InitialValues:
     """Solve for the low-index phi values, with the adaptive index check.
 
     The system is solved at n_solve and n_solve - 1; if the two solutions
@@ -489,14 +479,14 @@ def solve_initials(
     if tag.kind == CaseKind.NO_NET_PROFIT:
         raise InvalidModelError("survival values with no net profit come from no_net_profit_values")
     if tag.kind == CaseKind.D:
-        return _solve_case_d(model, tag, precision_bits)
+        return _solve_case_d(model, tag)
     if n_solve < 8:
         raise InvalidModelError("n_solve must be at least 8")
 
     n = min(n_solve, N_SOLVE_CAP)
     at = _Atoms(model)
     while True:
-        seqs, bits = _sequences(model, tag, at, n + 3, precision_bits)
+        seqs, bits = _sequences(model, tag, at, n + 3)
         with mp.workprec(bits):
             head, det = _solve_at(tag, seqs, bits, at, n)
             head_lo, _ = _solve_at(tag, seqs, bits, at, n - 1)
@@ -521,12 +511,7 @@ def solve_initials(
 # ---- forward extension ----
 
 
-def extend_ultimate(
-    model: ModelSpec,
-    initials: InitialValues | dict,
-    u_max: int,
-    precision_bits: int | None = None,
-) -> np.ndarray:
+def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int) -> np.ndarray:
     """Extend solved initial values to phi(0..u_max) by the forward recurrence.
 
     This is the balance recurrence rearranged around the smallest positive
@@ -538,9 +523,10 @@ def extend_ultimate(
                         - sum_{k=1}^{u-1} s_{u+m*-k} phi(k)
 
     Values are computed as integers scaled by 2^bits, bits being the
-    budget ``_budget`` sets for u_max (never below ``precision_bits``),
-    because the recurrence amplifies roundoff geometrically; they are
-    emitted as float64, each correctly rounded from its scaled integer.
+    budget ``_budget`` sets for u_max, or the precision ``initials`` were
+    solved at if that is more, because the recurrence amplifies roundoff
+    geometrically; they are emitted as float64, each correctly rounded
+    from its scaled integer.
     """
     if isinstance(initials, InitialValues):
         given = initials.values_mp or initials.values
@@ -561,7 +547,9 @@ def extend_ultimate(
     if top < need:
         raise InvalidModelError(f"need initial values up to index {need}")
 
-    bits = _budget(model, tag, u_max, precision_bits)
+    bits = _budget(model, tag, u_max)
+    if isinstance(initials, InitialValues):
+        bits = max(bits, initials.precision_bits)
     phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
     _forward(_Atoms(model), min_atom, phi, u_max)
     # int / int is correctly rounded
@@ -701,12 +689,7 @@ class UltimateResult:
     reach: int | None
 
 
-def survival_ultimate(
-    model: ModelSpec,
-    u_max: int,
-    n_solve: int = 150,
-    precision_bits: int | None = None,
-) -> UltimateResult:
+def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
     """Classify, solve, extend, and cross-check in one call.
 
     The route runs only up to reach = min(u_max, u* + 8), u* from
@@ -715,6 +698,8 @@ def survival_ultimate(
     exact atoms. So the precision and the solve index do not grow with
     u_max. ``residuals`` checks the whole row.
     """
+    if u_max < 0:
+        raise InvalidModelError("u_max must be >= 0")
     tag = classify(model)
     work_len = max(u_max, 7)
 
@@ -746,8 +731,8 @@ def survival_ultimate(
             f"phi up to u={reach} needs a solve index past {N_SOLVE_CAP} "
             f"(Lundberg exponent {r:.3g}); the margin is too small for this method"
         )
-    init = solve_initials(model, tag, n_solve=max(n_solve, reach + 8), precision_bits=precision_bits)
-    phi = extend_ultimate(model, init, reach, precision_bits=init.precision_bits)
+    init = solve_initials(model, tag, n_solve=max(N_SOLVE_MIN, reach + 8))
+    phi = extend_ultimate(model, init, reach)
     if reach < work_len:
         slope = model.s.mass_defect / net_profit_margin(model)
         phi = np.concatenate([phi, phi[reach] + slope * np.arange(1, work_len - reach + 1)])

@@ -16,6 +16,15 @@ def test_usage_errors(capsys):
     assert main([]) == 1
     assert main(["finite", "--x", "dpois:1,0"]) == 1  # missing --y/--u/--t
     assert main(["finite", "--bogus"]) == 1
+    # the working precision and the solve index are derived, not flags
+    model = ["--x", "dpois:1,0", "--y", "dpois:2,0"]
+    assert main(["ultimate", *model, "--u-max", "2", "--precision-bits", "512"]) == 1
+    assert main(["ultimate", *model, "--u-max", "2", "--n-solve", "200"]) == 1
+    # each subcommand takes only the flags it reads
+    assert main(["classify", *model, "--format", "csv"]) == 1
+    assert main(["verify-paper", "--tail-tol", "1e-6"]) == 1
+    assert main(["simulate", *model, "--u", "1", "--t", "5", "--raw"]) == 1
+    assert main(["conjecture", *model, "--which", "1", "--digits", "4"]) == 1
     capsys.readouterr()
 
 
@@ -28,6 +37,12 @@ def test_validation_errors(capsys):
     code, _, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
                      "--u-max", "-1")
     assert code == 2
+    # --digits -1 rounded every cell to 0; 28 and more overflow the
+    # 28-digit decimal context when rounding 1.0
+    for digits, span in (("-1", "0..5"), ("28", "5"), ("30", "0..5")):
+        code, out, err = run(capsys, "finite", "--x", "pmf:0.5,0.5", "--y", "pmf:0.5,0.5",
+                             "--u", span, "--t", "1", "--digits", digits)
+        assert code == 2 and out == "" and err.startswith("error: "), digits
 
 
 def test_numerical_error_exit(capsys):
@@ -43,6 +58,13 @@ def test_numerical_error_exit(capsys):
                        "--u-max", "2100")
     assert code == 3
     assert "solve index" in err
+    # a subnormal first s atom: np.roots would overflow on it
+    for argv in (("ultimate", "--x", "pmf:0,0.6666666666666666,0,0.3333333333333334",
+                  "--y", "pmf:0,2.225073858507e-311,1", "--u-max", "5"),
+                 ("conjecture", "--x", "pmf:0.5,0.5", "--y", "pmf:2.225073858507e-311,0.5,0.5",
+                  "--which", "1", "--n-max", "5")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "numerical" in err, argv
 
 
 def test_finite_csv_golden(capsys):
@@ -190,11 +212,12 @@ def test_diagnostics_past_float_range(capsys):
     assert not any("inf" in c for c in cells)
     assert float(cells[260]) == -1.134850e308
     assert cells[261] == "1.713101e+309" and cells[300] == "-1.617012e+355"
-    code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
-                       "--u-max", "400", "--n-solve", "408", "--format", "csv")
+    code, out, _ = run(capsys, "ultimate", "--x", "dpois:1.5,0", "--y", "dpois:2.2,0",
+                       "--u-max", "400", "--format", "csv")
     assert code == 0
+    assert "# n_solve: 255" in out
     det = out.split("# determinant: ")[1].split()[0]
-    assert det.endswith("e+482")
+    assert det == "3.850238e+362"
 
 
 def test_verify_paper_table1(capsys):
@@ -217,18 +240,3 @@ def test_byte_identical_output(capsys):
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
 
-
-def test_env_precision_override(capsys, monkeypatch):
-    monkeypatch.setenv("RUINWALK_PRECISION_BITS", "512")
-    code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
-                       "--u-max", "2")
-    assert code == 0
-    assert "precision_bits: 512" in out
-    # explicit flag beats the environment
-    code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
-                       "--u-max", "2", "--precision-bits", "640")
-    assert "precision_bits: 640" in out
-    monkeypatch.setenv("RUINWALK_PRECISION_BITS", "not-a-number")
-    code, _, _ = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
-                     "--u-max", "2")
-    assert code == 2

@@ -381,3 +381,5 @@ def test_u_max_zero(ex3):
     r = survival_ultimate(ex3, u_max=0)
     assert len(r.phi) == 1
     assert r.phi[0] == pytest.approx(0.0485, abs=5e-4)
+    with pytest.raises(InvalidModelError):
+        survival_ultimate(ex3, u_max=-1)
