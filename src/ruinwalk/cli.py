@@ -20,8 +20,6 @@ import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
-from mpmath import mp
-
 from .conjectures import determinant_trace
 from .errors import InvalidModelError, NumericalError, PrecisionError
 from .finite import mc_estimate, survival_finite
@@ -61,12 +59,24 @@ def _fmt_prob(value: float, digits: int) -> str:
 
 def _fmt_det(value, raw: bool) -> str:
     """A determinant as '%.6e' text (repr in raw mode). One past float64's
-    exponent range, which float() would turn into inf or 0, prints with
-    the same digits from its mpf."""
+    exponent range, which float() would turn into inf or 0, prints 7
+    digits (17, trailing zeros trimmed, in raw mode) rounded half up from
+    its exact value in integers: mp.nstr would put its mantissa of up to
+    many thousand bits through str()."""
     v = float(value)
     if math.isfinite(v) and (v != 0 or value == 0):
         return repr(v) if raw else f"{v:.6e}"
-    return mp.nstr(value, 17) if raw else mp.nstr(value, 7, strip_zeros=False)
+    places = 17 if raw else 7
+    man, exp = value.man_exp
+    num, den = abs(man) << max(exp, 0), 1 << max(-exp, 0)  # |value| = num / den
+    # k = floor(log10 |value|), from an estimate at most one short
+    k = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    k += num * 10 ** max(-k - 1, 0) >= den * 10 ** max(k + 1, 0)
+    up, down = 10 ** max(places - 1 - k, 0), 10 ** max(k + 1 - places, 0)
+    digits = str((2 * num * up + den * down) // (2 * den * down))  # rounded half up
+    k += len(digits) > places  # the rounding carried to 10^places
+    tail = digits[1:places].rstrip("0" if raw else "") or "0"
+    return f"{'-' if value < 0 else ''}{digits[0]}.{tail}e{k:+d}"
 
 
 def _emit_table(header: list[str], rows, fmt: str) -> None:
@@ -235,7 +245,6 @@ def _cmd_ultimate(ns) -> int:
         f"n_solve: {result.n_solve}",
         f"precision_bits: {bits}",
         f"determinant: {det}",
-        f"initials_delta: {result.initials_delta:.3e}",
         f"residual_master: {result.residual_master:.3e}",
         f"residual_constraint: {result.residual_constraint:.3e}",
         f"lundberg_r: {tail[0]}",

@@ -26,6 +26,8 @@ itself. The coefficients blow up geometrically while phi stays bounded,
 so differences phi(n + i) - phi(n) vanish at large n; the resulting small
 linear system (3x3, 2x2, or scalar depending on the case) is solved by
 Cramer's rule with the right-hand side set exactly to zero.
+The index n follows from the Lundberg bound below and the growth of the
+modes the free values excite (``_solve_index``).
 The coefficient growth wipes out double precision long before n reaches
 useful values, so sequence generation, the solve and the extension run in
 extended precision. The forward recurrence runs on Python integers scaled
@@ -83,8 +85,6 @@ from .model import (
 from .pmf import Pmf
 
 DEFAULT_PRECISION_BITS = 256
-SOLVE_AGREE_TOL = 1e-9
-N_SOLVE_MIN = 150
 N_SOLVE_CAP = 2000
 
 
@@ -145,19 +145,25 @@ class _Atoms:
         return mp.ldexp(self._margin, -self.es)
 
 
+def _dominant_rates(model: ModelSpec, tag: CaseTag) -> np.ndarray:
+    """Growth rates g_1 >= ... >= g_dim, g = log2|z|, of the dim modes the
+    free values excite (dim as in ``_free_indices``): the largest roots z
+    of ``ModelSpec.balance_roots``. A root 0, a mode that dies out, is left out."""
+    z = np.abs(model.balance_roots)
+    return np.sort(np.log2(z[z > 0]))[::-1][: len(_free_indices(tag))]
+
+
 def _budget(model: ModelSpec, tag: CaseTag, n: int) -> int:
     """Working bits for coefficients and values up to index n.
 
-    Each root z of the balance recurrence (``ModelSpec.balance_roots``)
-    grows a mode by g = log2|z| bits per index. The dominant mode sets the
-    magnitudes; Cramer's rule on the dim x dim difference system (dim as
-    in ``_free_indices``) then cancels the sum of (g_1 - g_j) over the
-    next dim - 1 modes. On top: 53 bits of float64 accuracy and a 64-bit
-    guard, and never fewer than DEFAULT_PRECISION_BITS in all.
+    Each mode grows by g bits per index (``_dominant_rates``). The
+    dominant one sets the magnitudes; Cramer's rule on the dim x dim
+    difference system then cancels the sum of (g_1 - g_j) over the other
+    dim - 1. On top: 53 bits of float64 accuracy and a 64-bit guard, and
+    never fewer than DEFAULT_PRECISION_BITS in all.
     """
-    g = np.sort(np.log2(np.abs(model.balance_roots)))[::-1]
-    dim = len(_free_indices(tag))
-    per_index = g[0] + sum(g[0] - g[j] for j in range(1, dim))
+    g = _dominant_rates(model, tag)
+    per_index = g[0] + sum(g[0] - g[1:])
     return max(DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
 
 
@@ -207,6 +213,29 @@ def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
         return 0.0, 1.0, math.inf
     c = max(1.0, 1 / _mgf(model.y, r, PREMIUM_PER_PERIOD))
     return r, c, math.ceil((math.log(c) + 53 * math.log(2)) / r)
+
+
+def _solve_index(model: ModelSpec, tag: CaseTag, tail, reach: int) -> int:
+    """The least n with log2 C - R n log2(e) - gamma (n - reach) <= -61,
+    and never less than reach + 8: at n the dropped C e^(-R n) leaves
+    phi(0..reach) within float64's 53 bits and an 8-bit guard. (R, C, u*)
+    is ``tail``, gamma the weakest of ``_dominant_rates``. With no tail
+    (R = 0) C is 1, as psi <= 1; with R = inf psi vanishes from u* on, and
+    n = max(reach, u*) + 8. An n past N_SOLVE_CAP raises NumericalError.
+    """
+    r, c, u_star = tail
+    if r == math.inf:
+        n = max(reach, u_star) + 8
+    else:
+        gamma = _dominant_rates(model, tag)[-1]
+        n = max(reach + 8, math.ceil((math.log2(c) + gamma * reach + 61)
+                                     / (r * math.log2(math.e) + gamma)))
+    if n > N_SOLVE_CAP:
+        raise NumericalError(
+            f"phi up to u={reach} needs a solve index past {N_SOLVE_CAP} "
+            f"(Lundberg exponent {r:.3g}); the margin is too small for this method"
+        )
+    return n
 
 
 # ---- the forward-recurrence kernel ----
@@ -389,17 +418,11 @@ def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 1
 
 @dataclass(frozen=True)
 class InitialValues:
-    """Solved phi at the low indices each case needs to recurse forward.
-
-    ``delta`` is the largest difference in the solved free values between
-    the solves at the accepted index and one index lower, kept as an error
-    estimate.
-    """
+    """Solved phi at the low indices each case needs to recurse forward."""
 
     values: dict[int, float]
     n_solve: int
     determinant: mp.mpf | None
-    delta: float
     precision_bits: int
     values_mp: dict = field(repr=False, default_factory=dict)
 
@@ -415,28 +438,6 @@ def _det(rows):
         - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
     )
-
-
-def _solve_at(tag: CaseTag, seqs: list[list[int]], bits: int, at: _Atoms, n: int):
-    """Solve the vanished-difference system at index n by Cramer's rule.
-
-    ``seqs`` are the scaled integer sequences of ``_sequences``; only
-    entries n..n+dim of each become mpf. Returns the head phi(0..j) and
-    the determinant. Caller sets precision.
-    """
-    steps = range(1, len(seqs))
-    *cols, d = [[mp.ldexp(v, -bits) for v in seq[n : n + len(seqs)]] for seq in seqs]
-    mat = [[c[i] - c[0] for c in cols] for i in steps]
-    margin = at.margin
-    rhs = [-(d[i] - d[0]) * margin for i in steps]
-    det = _det(mat)
-    if det == 0:
-        raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
-    sol = [
-        _det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
-        for j in range(len(cols))
-    ]
-    return _head(tag, at, sol, margin), det
 
 
 def _solve_case_d(model: ModelSpec, tag: CaseTag) -> InitialValues:
@@ -460,52 +461,49 @@ def _solve_case_d(model: ModelSpec, tag: CaseTag) -> InitialValues:
         values={k: float(v) for k, v in vals.items()},
         n_solve=0,
         determinant=None,
-        delta=0.0,
         precision_bits=bits,
         values_mp=vals,
     )
 
 
 def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
-                   n_solve: int = N_SOLVE_MIN) -> InitialValues:
-    """Solve for the low-index phi values, with the adaptive index check.
-
-    The system is solved at n_solve and n_solve - 1; if the two solutions
-    disagree beyond SOLVE_AGREE_TOL the index doubles, up to N_SOLVE_CAP,
-    after which a NumericalError is raised rather than returning a value
-    of unknown accuracy.
-    """
+                   n_solve: int | None = None) -> InitialValues:
+    """Solve for the low-index phi values at index n_solve: by default the
+    one ``_solve_index`` derives for u* + 8, the longest reach of
+    ``survival_ultimate``, so ``extend_ultimate`` holds up to there. An
+    n_solve outside 8..N_SOLVE_CAP is rejected."""
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
         raise InvalidModelError("survival values with no net profit come from no_net_profit_values")
     if tag.kind == CaseKind.D:
         return _solve_case_d(model, tag)
-    if n_solve < 8:
-        raise InvalidModelError("n_solve must be at least 8")
+    if n_solve is None:
+        tail = _lundberg_tail(model)  # with no tail, u* = inf needs an index past the cap
+        n_solve = _solve_index(model, tag, tail, min(tail[2] + 8, N_SOLVE_CAP))
+    elif not 8 <= n_solve <= N_SOLVE_CAP:
+        raise InvalidModelError(f"n_solve must lie in 8..{N_SOLVE_CAP}, got {n_solve}")
 
-    n = min(n_solve, N_SOLVE_CAP)
     at = _Atoms(model)
-    while True:
-        seqs, bits = _sequences(model, tag, at, n + 3)
-        with mp.workprec(bits):
-            head, det = _solve_at(tag, seqs, bits, at, n)
-            head_lo, _ = _solve_at(tag, seqs, bits, at, n - 1)
-            delta = max(abs(float(head[i] - head_lo[i])) for i in _free_indices(tag))
-            if delta <= SOLVE_AGREE_TOL:
-                return InitialValues(
-                    values={k: float(v) for k, v in enumerate(head)},
-                    n_solve=n,
-                    determinant=det,
-                    delta=delta,
-                    precision_bits=bits,
-                    values_mp=dict(enumerate(head)),
-                )
-        if n >= N_SOLVE_CAP:
-            raise NumericalError(
-                f"initial values did not stabilize by n={n} (last delta {delta:.3e}); "
-                "the margin may be too close to zero for this method"
-            )
-        n = min(2 * n, N_SOLVE_CAP)
+    seqs, bits = _sequences(model, tag, at, n_solve + 3)
+    n, steps = n_solve, range(1, len(seqs))
+    with mp.workprec(bits):
+        # phi(n + i) - phi(n) = 0, i = 1..dim, by Cramer's rule on entries n..n+dim
+        *cols, d = [[mp.ldexp(v, -bits) for v in seq[n : n + len(seqs)]] for seq in seqs]
+        mat = [[c[i] - c[0] for c in cols] for i in steps]
+        rhs = [-(d[i] - d[0]) * at.margin for i in steps]
+        det = _det(mat)
+        if det == 0:
+            raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
+        sol = [_det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
+               for j in range(len(cols))]
+        head = _head(tag, at, sol, at.margin)
+    return InitialValues(
+        values={k: float(v) for k, v in enumerate(head)},
+        n_solve=n_solve,
+        determinant=det,
+        precision_bits=bits,
+        values_mp=dict(enumerate(head)),
+    )
 
 
 # ---- forward extension ----
@@ -681,7 +679,6 @@ class UltimateResult:
     n_solve: int
     precision_bits: int | None
     determinant: mp.mpf | None
-    initials_delta: float
     residual_master: float
     residual_constraint: float
     lundberg_r: float | None
@@ -695,8 +692,9 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
     The route runs only up to reach = min(u_max, u* + 8), u* from
     ``_lundberg_tail``; above reach phi continues along the recurrence's
     unit mode, phi(reach) + (mass_defect / margin)(u - reach), flat for
-    exact atoms. So the precision and the solve index do not grow with
-    u_max. ``residuals`` checks the whole row.
+    exact atoms. It solves at the index ``_solve_index`` derives for
+    reach, so the precision and the solve index do not grow with u_max.
+    ``residuals`` checks the whole row.
     """
     if u_max < 0:
         raise InvalidModelError("u_max must be >= 0")
@@ -714,7 +712,6 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
             n_solve=0,
             precision_bits=None,
             determinant=None,
-            initials_delta=0.0,
             residual_master=res.master,
             residual_constraint=res.constraint,
             lundberg_r=None,
@@ -722,16 +719,10 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
             reach=None,
         )
 
-    r, c, u_star = _lundberg_tail(model)
+    tail = r, c, u_star = _lundberg_tail(model)
     reach = min(work_len, u_star + 8)
-    # never extend past the solve index: committed error grows along the
-    # dominant coefficient mode once u approaches n_solve
-    if tag.kind != CaseKind.D and reach + 8 > N_SOLVE_CAP:
-        raise NumericalError(
-            f"phi up to u={reach} needs a solve index past {N_SOLVE_CAP} "
-            f"(Lundberg exponent {r:.3g}); the margin is too small for this method"
-        )
-    init = solve_initials(model, tag, n_solve=max(N_SOLVE_MIN, reach + 8))
+    init = solve_initials(model, tag, None if tag.kind == CaseKind.D
+                          else _solve_index(model, tag, tail, reach))
     phi = extend_ultimate(model, init, reach)
     if reach < work_len:
         slope = model.s.mass_defect / net_profit_margin(model)
@@ -745,7 +736,6 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
         n_solve=init.n_solve,
         precision_bits=init.precision_bits,
         determinant=init.determinant,
-        initials_delta=init.delta,
         residual_master=res.master,
         residual_constraint=res.constraint,
         lundberg_r=r,

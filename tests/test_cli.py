@@ -218,6 +218,13 @@ def test_diagnostics_past_float_range(capsys):
     assert "# n_solve: 255" in out
     det = out.split("# determinant: ")[1].split()[0]
     assert det == "3.850238e+362"
+    # a determinant near 10^4900 with a 17059-bit mantissa, which mp.nstr
+    # turned into an int past Python's 4300-digit str() limit
+    code, out, _ = run(capsys, "ultimate", "--x", "pmf:0,0.6666666666666666,0,0.3333333333333334",
+                       "--y", "pmf:0,1e-100,1", "--u-max", "40", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("inf,0.333,0.5,0.75,")
+    assert "# determinant: -1.000000e+4900" in out and "# reach: 40" in out
 
 
 def test_verify_paper_table1(capsys):

@@ -191,6 +191,8 @@ def test_solver_rejects_no_net_profit(ex5):
 def test_solver_rejects_tiny_n(ex1):
     with pytest.raises(InvalidModelError):
         solve_initials(ex1, n_solve=4)
+    with pytest.raises(InvalidModelError):
+        solve_initials(ex1, n_solve=3000)  # past N_SOLVE_CAP
 
 
 def test_singular_system_error_fields():
@@ -278,6 +280,16 @@ FAR_ROWS = (((1, 0), (2, 0)), ((0.95, 1), (1.5, 0)), ((0.75, 1), (0.75, 1)),
             ((0.85, 0), (0.65, 2)), ((0.65, 2), (0.85, 0)), ((0.5, 2), (1 / 3, 1)))
 
 
+# Rows that stop short of u*: the D8 model (case C s.1, margin 0.020,
+# u* = 1819) and table 2's (case B, u* = 545), as (lambda, shift) of x and y.
+SHORT_ROWS = (((0.6339411042443803, 1), (1.3459253045058992, 1)), ((1.0, 1), (1.9, 0)))
+
+# np.roots loses this model's Lundberg root, so it has no tail (R = 0),
+# and returns an exact root 0; its coefficients grow 332 bits per index.
+NO_TAIL_MODEL = ModelSpec(x=from_probs([0, 0.6666666666666666, 0, 0.3333333333333334]),
+                          y=from_probs([0, 1e-100, 1]))
+
+
 def test_boundary_oracle_agrees(ex1, ex2, ex3, ex4):
     for m in (ex1, ex2, ex3, ex4):
         r = survival_ultimate(m, u_max=30)
@@ -290,6 +302,16 @@ def test_boundary_oracle_agrees(ex1, ex2, ex3, ex4):
         assert np.max(np.abs(r.phi - b)) < 1e-12, classify(m)
     r = survival_ultimate(UNDERFLOW_MODEL, u_max=300)
     b = boundary_oracle(UNDERFLOW_MODEL, u_max=300, u_big=1500)
+    assert np.max(np.abs(r.phi - b)) < 1e-12
+    for (lx, dx), (ly, dy) in SHORT_ROWS:
+        m = ModelSpec(x=make_displaced_poisson(lx, dx), y=make_displaced_poisson(ly, dy))
+        b = boundary_oracle(m, u_max=600, u_big=4000)
+        for u_max in (140, 300, 600):
+            r = survival_ultimate(m, u_max=u_max)
+            assert np.max(np.abs(r.phi - b[: u_max + 1])) < 1e-12, (classify(m), u_max)
+    r = survival_ultimate(NO_TAIL_MODEL, u_max=40)
+    assert r.lundberg_r == 0
+    b = boundary_oracle(NO_TAIL_MODEL, u_max=40, u_big=2000)
     assert np.max(np.abs(r.phi - b)) < 1e-12
 
 
@@ -372,7 +394,6 @@ def test_result_diagnostics(ex1):
     assert r.n_solve >= 18  # bumped to cover u_max
     assert r.precision_bits >= 256
     assert r.determinant is not None and r.determinant != 0.0
-    assert r.initials_delta <= 1e-9
     assert math.isclose(r.margin, net_profit_margin(ex1))
     assert set(r.initials) == {0, 1, 2, 3}
 
