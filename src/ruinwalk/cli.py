@@ -14,7 +14,6 @@ all iteration orders are fixed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -81,17 +80,14 @@ def _fmt_det(value, raw: bool) -> str:
 
 def _emit_table(header: list[str], rows, fmt: str) -> None:
     """Print a table. csv and tsv stream ``rows`` (any iterable of cell
-    lists) to stdout one row at a time; markdown needs every row first to
-    size its columns."""
+    lists) to stdout one row at a time, cells joined by the separator and
+    never quoted: no cell holds a comma, tab, quote or newline. Markdown
+    needs every row first to size its columns."""
     out = sys.stdout
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    if fmt == "tsv":
-        out.write("\t".join(header) + "\n")
-        out.writelines("\t".join(r) + "\n" for r in rows)
+    if fmt in ("csv", "tsv"):
+        sep = "," if fmt == "csv" else "\t"
+        out.write(sep.join(header) + "\n")
+        out.writelines(sep.join(r) + "\n" for r in rows)
         return
     rows = list(rows)
     widths = [len(h) for h in header]
@@ -222,8 +218,19 @@ def _cmd_finite(ns) -> int:
     grid = survival_finite(model, u_max=u_hi, t_max=t_hi)
     header = ["T\\u"] + [str(u) for u in range(u_lo, u_hi + 1)]
     block = grid.values[u_lo:]
-    rows = ([str(t), *map(cell, block[:, t - 1].tolist())] for t in range(t_lo, t_hi + 1))
-    _emit_table(header, rows, ns.format)
+
+    def rows():
+        # a converged grid repeats its columns: format each distinct one
+        # once, matched by bytes so that -0.0 and NaN stay exact
+        last, cells = None, None
+        for t in range(t_lo, t_hi + 1):
+            column = block[:, t - 1]
+            key = column.tobytes()
+            if key != last:
+                last, cells = key, list(map(cell, column.tolist()))
+            yield [str(t), *cells]
+
+    _emit_table(header, rows(), ns.format)
     print(_note(f"error_bound: {grid.error_bound:.3e}", ns.format))
     return 0
 

@@ -22,6 +22,15 @@ per horizon is then O(w + smax) whatever t_max is. Models with no net
 profit, or with no tail (u* = inf), keep the full window through the
 same loop.
 
+Work stops at B's float64 fixed point, not at t_max. Every layer up to
+t_cap = t_max - ceil((w - u_max) / 2) spans the whole capped window, and
+B reads nothing but the layer two before. So once two consecutive such
+layers equal, bit for bit, the layers two before them, every later
+capped layer repeats them with period 2: those columns are filled by
+parity, and only the shrinking windows past t_cap are computed. Only a
+lossless model (no mass lost to truncation) can get there; a truncated
+one's far value shrinks every layer, so it never pays for the compare.
+
 Two independent validators live here as well: a forward dynamic program
 over the surplus (shares nothing with the recursion above) and a Monte
 Carlo estimator. The estimator reads one Philox stream in order: trial i
@@ -96,6 +105,10 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
 
     x = model.x
     retained = 1.0 - model.s.mass_defect
+    # the last horizon whose layer spans the whole capped window
+    t_cap = t_max - (w - u_max + 1) // 2
+    # only a lossless far value stays put, so only then can layers repeat
+    lossless = model.s.mass_defect == 0
     forcing = _forcing(model, w + 1)
     grid = np.empty((u_max + 1, t_max))
     # horizons T - 2 and T - 1 while sweeping; each holds u = 0..w + 4,
@@ -105,7 +118,9 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     newer = x._cdf[np.minimum(np.arange(1, w + 6), x.support_max)]
     spare = np.empty(w + 5)
     grid[:, 0] = newer[: u_max + 1]
-    for t in range(2, t_max + 1):
+    repeats = 0  # consecutive capped layers equal to the layer two before
+    t = 2
+    while t <= t_max:
         n = width(t) + 1
         layer, spare = spare, older
         # far out B maps a constant to itself times the retained mass of s.
@@ -114,7 +129,19 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
         layer[n:] = older[-1] * retained
         layer[:n] = _balance(model, older, n, forcing)
         grid[:, t - 1] = layer[: u_max + 1]
+        if lossless and t <= t_cap:
+            same = np.array_equal(layer.view(np.int64), older.view(np.int64))
+            repeats = repeats + 1 if same else 0
         older, newer = newer, layer
+        if repeats == 2 and t < t_cap:
+            # B reads only the layer two before, so both parities stay at
+            # their float64 fixed point through t_cap
+            grid[:, t + 1 : t_cap : 2] = newer[: u_max + 1, None]
+            grid[:, t : t_cap : 2] = older[: u_max + 1, None]
+            if (t_cap - t) % 2:
+                older, newer = newer, older
+            t = t_cap
+        t += 1
 
     bound = t_max * (model.x.mass_defect + model.y.mass_defect)
     if w < full and r < math.inf:

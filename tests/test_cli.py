@@ -127,6 +127,42 @@ def test_finite_raw_cells_are_repr(capsys, fmt, sep):
     assert lines[1:-1] == want
     assert lines[-1].startswith("# error_bound:")
 
+    # a lossless grid at its fixed point repeats its rows; a repeated row
+    # reuses the cells formatted for the row before, raw or rounded
+    from ruinwalk import parse_pmf_spec
+    from ruinwalk.cli import _fmt_prob
+
+    m = ModelSpec(x=parse_pmf_spec("pmf:0.5,0,0.5"), y=parse_pmf_spec("pmf:0.25,0.5,0.25"))
+    g = survival_finite(m, u_max=9, t_max=400)
+    assert len({g.values[:, t].tobytes() for t in range(400)}) < 400
+    for flags, fmt_cell in ((["--raw"], repr), (["--digits", "6"], lambda v: _fmt_prob(v, 6))):
+        code, out, _ = run(capsys, "finite", "--x", "pmf:0.5,0,0.5", "--y", "pmf:0.25,0.5,0.25",
+                           "--u", "0..9", "--t", "1..400", "--format", fmt, *flags)
+        assert code == 0
+        want = [sep.join([str(t)] + [fmt_cell(float(g.values[u, t - 1])) for u in range(10)])
+                for t in range(1, 401)]
+        assert out.splitlines()[1:-1] == want, flags
+
+
+def test_csv_cells_need_no_quoting(capsys):
+    # csv rows are joined, never quoted: every line reads back unchanged
+    import csv
+
+    model = ("--x", "dpois:1,0", "--y", "dpois:2,0")
+    for argv in (("finite", *model, "--u", "0..5", "--t", "1..30"),
+                 ("finite", *model, "--u", "0..5", "--t", "1..30", "--raw"),
+                 ("ultimate", *model, "--u-max", "20"),
+                 ("ultimate", *model, "--u-max", "20", "--raw"),
+                 ("conjecture", *model, "--which", "1", "--n-max", "300"),
+                 ("conjecture", *model, "--which", "1", "--n-max", "300", "--raw"),
+                 ("verify-paper",)):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0, argv
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert rows
+        for line in rows:
+            assert ",".join(next(csv.reader([line]))) == line, (argv, line)
+
 
 def test_ultimate_row_reference(capsys):
     code, out, _ = run(capsys, "ultimate", "--x", "dpois:1,1", "--y", "dpois:0.9,1",

@@ -113,6 +113,99 @@ def test_window_stops_growing_with_t_max(monkeypatch):
     assert widest[0] == widest[1] < 30 + 2 * 2000
 
 
+def _full_sweep_reference(model, u_max, t_max):
+    # the layer sweep as it stood before the fixed-point stop: B applied
+    # at every horizon; returns (values, error_bound)
+    from ruinwalk.model import _forcing, net_profit_margin
+    from ruinwalk.ultimate import _lundberg_tail
+
+    full = u_max + 2 * t_max
+    r, c, w = 0.0, 0.0, full
+    if net_profit_margin(model) > 0:
+        r, c, u_star = _lundberg_tail(model)
+        w = min(full, max(u_max, u_star) + model.s.support_max)
+    x = model.x
+    retained = 1.0 - model.s.mass_defect
+    forcing = _forcing(model, w + 1)
+    grid = np.empty((u_max + 1, t_max))
+    older = np.ones(w + 5)
+    newer = x._cdf[np.minimum(np.arange(1, w + 6), x.support_max)]
+    grid[:, 0] = newer[: u_max + 1]
+    for t in range(2, t_max + 1):
+        n = min(u_max + 2 * (t_max - t), w) + 1
+        layer = np.empty(w + 5)
+        layer[n:] = older[-1] * retained
+        layer[:n] = _balance(model, older, n, forcing)
+        grid[:, t - 1] = layer[: u_max + 1]
+        older, newer = newer, layer
+    bound = t_max * (model.x.mass_defect + model.y.mass_defect)
+    if w < full and r < math.inf:
+        bound += t_max * c * math.exp(-r * w)
+    return grid, bound
+
+
+@pytest.fixture
+def balance_calls(monkeypatch):
+    # the window width of every layer step survival_finite makes
+    import ruinwalk.finite as finite
+
+    calls = []
+
+    def spy(model, v, n, forcing=None):
+        calls.append(n)
+        return _balance(model, v, n, forcing)
+
+    monkeypatch.setattr(finite, "_balance", spy)
+    return calls
+
+
+# lossless, R finite: its float64 sweep reaches B's fixed point
+_DYADIC = ("pmf:0.375,0.375,0.125,0.0625,0.0625", "pmf:0.125,0.375,0.25,0.125,0.125")
+_TWO_POINTS = ("pmf:0.26953125,0.3232421875,0.2109375,0.1962890625",
+               "pmf:0.08203125,0.451171875,0.1767578125,0.2900390625")
+
+
+@pytest.mark.parametrize(
+    "x, y, u_max, t_max, stops",
+    [
+        (*_DYADIC, 0, 1999, True),
+        (*_DYADIC, 0, 2000, True),
+        (*_DYADIC, 30, 1999, True),
+        (*_DYADIC, 30, 2000, True),
+        # odd and even horizons settle on different float64 fixed points
+        (*_TWO_POINTS, 0, 2001, True),
+        (*_TWO_POINTS, 30, 2000, True),
+        # no s atom above 4: R = inf
+        ("pmf:0.5,0,0.5", "pmf:0.25,0.5,0.25", 30, 2000, True),
+        # truncated: the far value shrinks every layer, no fixed point
+        ("dpois:1,0", "dpois:2,0", 30, 2000, False),
+        # no tail: the window is never capped, so t_cap < 2
+        ("pmf:0,0.6666666666666666,0,0.3333333333333334", "pmf:0,1e-100,1", 30, 300, False),
+    ],
+    ids=["dyadic-0-1999", "dyadic-0-2000", "dyadic-30-1999", "dyadic-30-2000",
+         "two-points-0-2001", "two-points-30-2000", "R.inf", "truncated", "no-tail"],
+)
+def test_fixed_point_stop_is_exact(x, y, u_max, t_max, stops, balance_calls):
+    m = ModelSpec(x=parse_pmf_spec(x), y=parse_pmf_spec(y))
+    want, bound = _full_sweep_reference(m, u_max, t_max)
+    g = survival_finite(m, u_max=u_max, t_max=t_max)
+    assert g.values.tobytes() == want.tobytes()
+    assert g.error_bound == bound
+    assert (len(balance_calls) < t_max - 1) == stops
+
+
+def test_fixed_point_stop_work_stays_flat(balance_calls):
+    # a lossless model pays for the layers before its fixed point and the
+    # shrinking windows after t_cap, whatever t_max is
+    m = ModelSpec(x=parse_pmf_spec(_DYADIC[0]), y=parse_pmf_spec(_DYADIC[1]))
+    counts = []
+    for t_max in (4000, 20000):
+        balance_calls.clear()
+        survival_finite(m, u_max=30, t_max=t_max)
+        counts.append(len(balance_calls))
+    assert counts[0] == counts[1] < 4000 - 1
+
+
 def test_grid_shape_and_edges(ex1):
     g = survival_finite(ex1, u_max=0, t_max=1)
     assert g.values.shape == (1, 1)
