@@ -33,11 +33,12 @@ useful values, so sequence generation, the solve and the extension run in
 extended precision. The forward recurrence runs on Python integers scaled
 by 2^bits: the float64 atoms are exact dyadic rationals, so each step's
 numerator is formed exactly and one floor division by the pivot is its
-only rounding. The small solve runs in mpmath at the same bits. One bit
-budget (``_budget``) serves all three: the growth rates of the
-recurrence's characteristic roots times the index, plus the cancellation
-Cramer's rule suffers between the dominant modes, plus 53 bits of float64
-accuracy and a 64-bit guard.
+only rounding. The small solve rounds each exact integer difference
+c(n + i) - c(n) of its system (``_difference_rows``) once and runs in
+mpmath at the same bits. One bit budget (``_budget``) serves all three:
+the growth rates of the recurrence's characteristic roots times the
+index, plus the cancellation Cramer's rule suffers between the dominant
+modes, plus 53 bits of float64 accuracy and a 64-bit guard.
 
 The route stops where ruin can no longer move a float64 value. With S =
 X + Y one pair's claim and R > 0 the root of E[e^(R(S-4))] = 1, e^(-R U)
@@ -384,8 +385,9 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[
 def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 153) -> SequenceSet:
     """Generate the representation coefficients up to index n_max.
 
-    The sequences come from ``_sequences``; entries are returned as mpf at
-    its precision.
+    The sequences come from ``_sequences``; each entry is converted exactly
+    to mpf. This is a view for callers outside the package: the solve and
+    the conjecture probes read the integer sequences directly.
     """
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
@@ -423,8 +425,15 @@ class InitialValues:
     values: dict[int, float]
     n_solve: int
     determinant: mp.mpf | None
-    precision_bits: int
+    precision_bits: int | None
     values_mp: dict = field(repr=False, default_factory=dict)
+
+
+def _difference_rows(cols, n: int, dim: int) -> list[list]:
+    """The difference system M_n: rows (c(n + i) - c(n)) over the sequences
+    ``cols``, i = 1..dim, in the order the solve and the conjecture traces
+    share. Exact on the integer sequences of ``_sequences``."""
+    return [[c[n + i] - c[n] for c in cols] for i in range(1, dim + 1)]
 
 
 def _det(rows):
@@ -485,17 +494,18 @@ def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
 
     at = _Atoms(model)
     seqs, bits = _sequences(model, tag, at, n_solve + 3)
-    n, steps = n_solve, range(1, len(seqs))
+    n, dim = n_solve, len(seqs) - 1
     with mp.workprec(bits):
-        # phi(n + i) - phi(n) = 0, i = 1..dim, by Cramer's rule on entries n..n+dim
-        *cols, d = [[mp.ldexp(v, -bits) for v in seq[n : n + len(seqs)]] for seq in seqs]
-        mat = [[c[i] - c[0] for c in cols] for i in steps]
-        rhs = [-(d[i] - d[0]) * at.margin for i in steps]
+        # phi(n + i) - phi(n) = 0, i = 1..dim, by Cramer's rule on M_n with
+        # the margin's differences on the right-hand side
+        rows = [[mp.ldexp(mp.mpf(v), -bits) for v in row] for row in _difference_rows(seqs, n, dim)]
+        mat = [row[:dim] for row in rows]
+        rhs = [-row[dim] * at.margin for row in rows]
         det = _det(mat)
         if det == 0:
             raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
         sol = [_det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
-               for j in range(len(cols))]
+               for j in range(dim)]
         head = _head(tag, at, sol, at.margin)
     return InitialValues(
         values={k: float(v) for k, v in enumerate(head)},
@@ -703,30 +713,18 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
 
     if tag.kind == CaseKind.NO_NET_PROFIT:
         phi = no_net_profit_values(model, tag, work_len)
-        res = residuals(model, phi)
-        return UltimateResult(
-            phi=phi[: u_max + 1].copy(),
-            case=tag,
-            initials={i: float(phi[i]) for i in range(4)},
-            margin=net_profit_margin(model),
-            n_solve=0,
-            precision_bits=None,
-            determinant=None,
-            residual_master=res.master,
-            residual_constraint=res.constraint,
-            lundberg_r=None,
-            lundberg_c=None,
-            reach=None,
-        )
-
-    tail = r, c, u_star = _lundberg_tail(model)
-    reach = min(work_len, u_star + 8)
-    init = solve_initials(model, tag, None if tag.kind == CaseKind.D
-                          else _solve_index(model, tag, tail, reach))
-    phi = extend_ultimate(model, init, reach)
-    if reach < work_len:
-        slope = model.s.mass_defect / net_profit_margin(model)
-        phi = np.concatenate([phi, phi[reach] + slope * np.arange(1, work_len - reach + 1)])
+        init = InitialValues(values={i: float(phi[i]) for i in range(4)}, n_solve=0,
+                             determinant=None, precision_bits=None)
+        r = c = reach = None
+    else:
+        tail = r, c, u_star = _lundberg_tail(model)
+        reach = min(work_len, u_star + 8)
+        init = solve_initials(model, tag, None if tag.kind == CaseKind.D
+                              else _solve_index(model, tag, tail, reach))
+        phi = extend_ultimate(model, init, reach)
+        if reach < work_len:
+            slope = model.s.mass_defect / net_profit_margin(model)
+            phi = np.concatenate([phi, phi[reach] + slope * np.arange(1, work_len - reach + 1)])
     res = residuals(model, phi)
     return UltimateResult(
         phi=phi[: u_max + 1].copy(),

@@ -261,6 +261,15 @@ def test_diagnostics_past_float_range(capsys):
     assert code == 0
     assert out.splitlines()[1].startswith("inf,0.333,0.5,0.75,")
     assert "# determinant: -1.000000e+4900" in out and "# reach: 40" in out
+    # case A determinants past 10^4300 at 30397 bits, whose violation texts
+    # once went through mp.nstr at full precision
+    code, out, _ = run(capsys, "conjecture", "--x", "pmf:1e-30,0.5,0.5", "--y", "pmf:0.5,0.5",
+                       "--which", "1", "--n-max", "100", "--format", "csv")
+    assert code == 0
+    assert "# precision_bits: 30397" in out and "# violations: 200" in out
+    assert out.splitlines()[101] == "100,-5.070602e+3060"
+    assert ("# violation n=100: chain start breached: expected det M_100 >= 1, "
+            "got -5.0706024e+3060") in out
 
 
 def test_verify_paper_table1(capsys):

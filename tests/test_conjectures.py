@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from ruinwalk import InvalidModelError, build_sequences, classify
+from ruinwalk import InvalidModelError, build_sequences, classify, solve_initials
 from ruinwalk.conjectures import (
+    _suspicious,
     coefficient_chain,
     determinant_trace,
     difference_matrix,
 )
+from ruinwalk.ultimate import _det
 from conftest import random_case_model
 
 
@@ -32,6 +34,31 @@ def test_trace_matches_dense_determinant_oracle(ex1, ex2):
             )
             want = np.linalg.det(mat)
             assert trace.values[n] == pytest.approx(want, rel=1e-6), f"n={n}"
+
+
+def test_trace_sees_the_solve_matrix(ex1, ex2):
+    # one M_n, same rows, order and sign: the trace's D_n is the solve's
+    # determinant up to the solve's own rounding
+    for model, which in ((ex1, 1), (ex2, 2)):
+        trace = determinant_trace(model, which=which, n_max=60)
+        for n in (8, 21, 40, 60):
+            det = solve_initials(model, n_solve=n).determinant
+            with mp.workprec(2 * trace.precision_bits):
+                assert abs(trace.values[n] - det) <= mp.ldexp(abs(det), -200), (which, n)
+
+
+def test_suspicious_flags_cancellation():
+    bits, big = 256, 1 << 300
+    assert _suspicious(0, [[3, 6], [1, 2]], bits)
+    # a det of 1 from entries near 2^300: far below 2 * 301 - (bits - 48)
+    rows = [[big, big - 1], [big + 1, big]]
+    assert _det(rows) == 1 and _suspicious(1, rows, bits)
+    rows = [[big, 1, 2], [3, big, 5], [7, 11, big]]
+    assert not _suspicious(_det(rows), rows, bits)
+    # the threshold itself: det of bit length 2 * 301 - 208 = 394 passes
+    for low, flagged in ((92, True), (93, False)):
+        rows = [[big, 0], [0, 1 << low]]
+        assert _suspicious(_det(rows), rows, bits) is flagged
 
 
 def test_trace_requires_matching_case(ex1, ex2, ex3):
