@@ -1,9 +1,9 @@
 # Three independent routes to the same numbers.
 #
 # 1. The production solver: coefficient sequences in extended precision,
-#    a small difference system for the seed values, then the forward
-#    recurrence.
-# 2. A dense float64 boundary oracle: pin phi(u) = 1 far out where
+#    a small difference system for the seed values, then the row read off
+#    the sequences with those values as weights.
+# 2. A banded float64 boundary oracle: pin phi(u) = 1 far out where
 #    survival is near certain, solve the full linear system in one shot.
 # 3. Monte Carlo: simulate the surplus path directly.
 #

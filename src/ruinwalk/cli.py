@@ -19,6 +19,8 @@ import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
+
 from .conjectures import determinant_trace
 from .errors import InvalidModelError, NumericalError, PrecisionError
 from .finite import mc_estimate, survival_finite
@@ -76,6 +78,20 @@ def _fmt_det(value, raw: bool) -> str:
     k += len(digits) > places  # the rounding carried to 10^places
     tail = digits[1:places].rstrip("0" if raw else "") or "0"
     return f"{'-' if value < 0 else ''}{digits[0]}.{tail}e{k:+d}"
+
+
+def _run_cells(cell, values: np.ndarray) -> list[str]:
+    """``list(map(cell, values.tolist()))``, with ``cell`` called once per
+    run of bit-identical values: an ultimate row past its reach repeats
+    one fill value hundreds of times. Runs are matched on bits, so -0.0
+    and 0.0, or NaNs of different payloads, stay apart."""
+    vals = values.tolist()
+    bits = values.view(np.int64)
+    cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(), len(vals)]
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        out += [cell(vals[lo])] * (hi - lo)
+    return out
 
 
 def _emit_table(header: list[str], rows, fmt: str) -> None:
@@ -239,8 +255,8 @@ def _cmd_ultimate(ns) -> int:
     cell = _cell_format(ns)
     model = _model_from(ns)
     result = survival_ultimate(model, u_max=ns.u_max)
-    header = ["T\\u"] + [str(u) for u in range(ns.u_max + 1)]
-    rows = [["inf", *map(cell, result.phi.tolist())]]
+    header = ["T\\u", *map(str, range(ns.u_max + 1))]
+    rows = [["inf", *_run_cells(cell, result.phi)]]
     _emit_table(header, rows, ns.format)
     det = "none" if result.determinant is None else _fmt_det(result.determinant, raw=False)
     bits = "none" if result.precision_bits is None else str(result.precision_bits)

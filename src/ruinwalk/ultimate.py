@@ -25,7 +25,10 @@ coefficient sequence, run from the solved initial values it yields phi
 itself. The coefficients blow up geometrically while phi stays bounded,
 so differences phi(n + i) - phi(n) vanish at large n; the resulting small
 linear system (3x3, 2x2, or scalar depending on the case) is solved by
-Cramer's rule with the right-hand side set exactly to zero.
+Cramer's rule with the right-hand side set exactly to zero. Up to the
+solve's index phi then needs no second recurrence: it is the
+representation above, summed exactly over the sequences the solve built
+and rounded once per value.
 The index n follows from the Lundberg bound below and the growth of the
 modes the free values excite (``_solve_index``).
 The coefficient growth wipes out double precision long before n reaches
@@ -57,9 +60,9 @@ precision and solve index do not grow with u_max. ``solve_initials``
 and ``extend_ultimate`` stay the untailed route.
 
 Two independent cross-checks live here too: ``boundary_oracle`` solves
-the balance equations as one dense float64 linear system with phi pinned
-to 1 far out, and ``no_net_profit_values`` produces the collapsed values
-used when the margin is nonpositive.
+the balance equations as one banded float64 linear system with phi
+pinned to 1 far out, and ``no_net_profit_values`` produces the collapsed
+values used when the margin is nonpositive.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class _Atoms:
         self._xcum = list(accumulate(self.x))
         self._scum = list(accumulate(self.s))
         self._margin = (INCOME_PER_PAIR << self.es) - sum(k * v for k, v in enumerate(self.s))
+        self._rows = {}
 
     def x_at(self, i):
         return mp.ldexp(self.x[i], -self.ex) if 0 <= i < len(self.x) else mp.mpf(0)
@@ -144,6 +148,25 @@ class _Atoms:
     @property
     def margin(self):
         return mp.ldexp(self._margin, -self.es)
+
+    def constraint_row(self) -> list:
+        """The constraint's coefficients of phi(0..3),
+
+            phi(0) + (X~(2) y_0 + X~(1) y_1 + S(2)) phi(1)
+                   + (X~(1) y_0 + S(1)) phi(2) + S(0) phi(3) = margin
+
+        X~ the tail of x and S the cdf of s, at the working precision;
+        made once per precision, for the sequences' heads and the solve's.
+        """
+        row = self._rows.get(mp.prec)
+        if row is None:
+            row = self._rows[mp.prec] = [
+                mp.mpf(1),
+                self.s_cdf(2) + self.x_tail(2) * self.y_at(0) + self.x_tail(1) * self.y_at(1),
+                self.s_cdf(1) + self.x_tail(1) * self.y_at(0),
+                self.s_cdf(0),
+            ]
+        return row
 
 
 def _dominant_rates(model: ModelSpec, tag: CaseTag) -> np.ndarray:
@@ -168,11 +191,14 @@ def _budget(model: ModelSpec, tag: CaseTag, n: int) -> int:
     return max(DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
 
 
-def _mgf(p: Pmf, r: float, shift: int) -> float:
-    """E[e^(r (Z - shift))] in float64, with the mass defect on one atom
-    just past the support, the nearest place a truncated tail can sit."""
+def _mgf(p: Pmf, shift: int):
+    """r -> E[e^(r (Z - shift))] in float64, with the mass defect on one
+    atom just past the support, the nearest place a truncated tail can sit.
+    The exponent grid and the weights are built once, so each r costs one
+    ``np.dot``."""
     k = np.arange(-shift, len(p.probs) + 1 - shift)
-    return float(np.dot(np.append(p.probs, p.mass_defect), np.exp(r * k)))
+    w = np.append(p.probs, p.mass_defect)
+    return lambda r: float(np.dot(w, np.exp(r * k)))
 
 
 def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
@@ -208,11 +234,12 @@ def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
     z = z.real[(z.imag == 0) & (z.real > 0) & (z.real < 1)]
     r = -math.log(z.min()) if z.size else 0.0
     step = r * 2.0**-40
-    while r > 0 and _mgf(s, r, INCOME_PER_PAIR) > 1:
+    mgf_s = _mgf(s, INCOME_PER_PAIR)
+    while r > 0 and mgf_s(r) > 1:
         r, step = r - step, 2 * step
     if r <= 0:
         return 0.0, 1.0, math.inf
-    c = max(1.0, 1 / _mgf(model.y, r, PREMIUM_PER_PERIOD))
+    c = max(1.0, 1 / _mgf(model.y, PREMIUM_PER_PERIOD)(r))
     return r, c, math.ceil((math.log(c) + 53 * math.log(2)) / r)
 
 
@@ -279,10 +306,14 @@ def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
         d = es + k - ez  # exact either way: c1 and c2 end in ez - e zero bits
         forcing.append((c1 << d, c2 << d, k) if d >= 0 else (c1 >> -d, c2 >> -d, k))
 
-    for u in range(len(phi), stop + 1):
-        lo = max(1, u + m - smax)
+    # from u0 on no step has an x.y term, and each reads the full window
+    # s_{smax}..s_{m*+1} against phi(u - width..u-1)
+    width = smax - m
+    u0 = max(len(forcing), width + 1)
+    for u in range(len(phi), min(stop, u0 - 1) + 1):
+        lo = max(1, u - width)
         # s_rev[smax - u - m* + k] = s_{u+m*-k} for k = lo..u-1
-        tail = sum(map(mul, s_rev[smax - u - m + lo : smax - m], phi[lo:u]))
+        tail = sum(map(mul, s_rev[smax - u - m + lo : width], phi[lo:u]))
         if u < len(forcing):
             c1, c2, k = forcing[u]
             if u == 2 and c2:
@@ -294,6 +325,9 @@ def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
             phi.append(acc // (s[m] << k))
         else:
             phi.append(((phi[u - 4 + m] << es) - tail) // s[m])
+    window, pivot, append = s_rev[:width], s[m], phi.append
+    for u in range(max(len(phi), u0), stop + 1):
+        append(((phi[u - 4 + m] << es) - sum(map(mul, window, phi[u - width : u]))) // pivot)
     return phi
 
 
@@ -307,24 +341,14 @@ def _free_indices(tag: CaseTag) -> tuple[int, ...]:
     return (1,) if tag.scenario == "s.3" else (0,)
 
 
-def _head(tag: CaseTag, at: _Atoms, free, margin) -> list:
+def _head(tag: CaseTag, row: list, free, margin) -> list:
     """phi(0..j) from the free values, with phi(j) from the constraint
-
-        phi(0) + (X~(2) y_0 + X~(1) y_1 + S(2)) phi(1)
-               + (X~(1) y_0 + S(1)) phi(2) + S(0) phi(3) = margin
-
-    where X~ is the tail of x and S the cdf of s. Here j is one past the
-    last free index: 3 in case A, 2 in case B and C s.3, 1 in C s.1/s.2;
-    the constraint's coefficients beyond j vanish in each case, and the
-    pivot at j is positive: s_0 in A, s_1 + X~(1) y_0 in B, s_2 + X~(1) y_1
-    in C s.1/s.2, y_0 in C s.3.
+    ``row`` (``_Atoms.constraint_row``). Here j is one past the last free index:
+    3 in case A, 2 in case B and C s.3, 1 in C s.1/s.2; the constraint's
+    coefficients beyond j vanish in each case, and the pivot at j is
+    positive: s_0 in A, s_1 + X~(1) y_0 in B, s_2 + X~(1) y_1 in C s.1/s.2,
+    y_0 in C s.3.
     """
-    row = [
-        mp.mpf(1),
-        at.s_cdf(2) + at.x_tail(2) * at.y_at(0) + at.x_tail(1) * at.y_at(1),
-        at.s_cdf(1) + at.x_tail(1) * at.y_at(0),
-        at.s_cdf(0),
-    ]
     idx = _free_indices(tag)
     j = idx[-1] + 1
     phi = [mp.mpf(0)] * j
@@ -371,8 +395,9 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[
     bits = _budget(model, tag, n_max)
     with mp.workprec(bits):
         zero, one = mp.mpf(0), mp.mpf(1)
-        heads = [_head(tag, at, [one if i == k else zero for k in free], zero) for i in free]
-        heads.append(_head(tag, at, [zero] * len(free), one))
+        row = at.constraint_row()
+        heads = [_head(tag, row, [one if i == k else zero for k in free], zero) for i in free]
+        heads.append(_head(tag, row, [zero] * len(free), one))
         seqs = [_forward(at, tag.min_s_atom, [_fixed(v, bits) for v in h], n_max) for h in heads]
     top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
     if top_mag > bits - 64:
@@ -419,14 +444,34 @@ def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 1
 
 
 @dataclass(frozen=True)
+class _Route:
+    """What a solve built, kept for the extension of the same model: its
+    case tag and exact atoms, and in cases A-C the integer sequences of
+    ``_sequences`` (scale 2^bits) with the solved weights, the free values
+    and then the margin, each floored at the same scale."""
+
+    model: ModelSpec
+    tag: CaseTag
+    atoms: _Atoms
+    seqs: list[list[int]] | None = None
+    weights: list[int] | None = None
+
+
+@dataclass(frozen=True)
 class InitialValues:
-    """Solved phi at the low indices each case needs to recurse forward."""
+    """Solved phi at the low indices each case needs to recurse forward.
+
+    A solve also carries what it built (``_route``, private): in cases A-C
+    ``extend_ultimate`` reads phi(u) = sum_i F_i c_i(u) + M d(u) off the
+    solve's sequences as far as they reach, and recurses beyond.
+    """
 
     values: dict[int, float]
     n_solve: int
     determinant: mp.mpf | None
     precision_bits: int | None
     values_mp: dict = field(repr=False, default_factory=dict)
+    _route: _Route | None = field(repr=False, compare=False, default=None)
 
 
 def _difference_rows(cols, n: int, dim: int) -> list[list]:
@@ -451,7 +496,7 @@ def _det(rows):
 
 def _solve_case_d(model: ModelSpec, tag: CaseTag) -> InitialValues:
     bits = _budget(model, tag, 0)
-    at = _Atoms(model)
+    at = _Atoms(model)  # shared with the extension through _route
     with mp.workprec(bits):
         m = at.margin
         scen = tag.scenario
@@ -472,6 +517,7 @@ def _solve_case_d(model: ModelSpec, tag: CaseTag) -> InitialValues:
         determinant=None,
         precision_bits=bits,
         values_mp=vals,
+        _route=_Route(model, tag, at),
     )
 
 
@@ -506,13 +552,15 @@ def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
             raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
         sol = [_det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
                for j in range(dim)]
-        head = _head(tag, at, sol, at.margin)
+        head = _head(tag, at.constraint_row(), sol, at.margin)
+        weights = [_fixed(v, bits) for v in sol] + [_fixed(at.margin, bits)]
     return InitialValues(
         values={k: float(v) for k, v in enumerate(head)},
         n_solve=n_solve,
         determinant=det,
         precision_bits=bits,
         values_mp=dict(enumerate(head)),
+        _route=_Route(model, tag, at, seqs, weights),
     )
 
 
@@ -535,9 +583,20 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     solved at if that is more, because the recurrence amplifies roundoff
     geometrically; they are emitted as float64, each correctly rounded
     from its scaled integer.
+
+    The values of a case A-C solve of this model come without a second
+    recurrence while the solve's coefficient sequences reach u_max, as
+    they always do on the ``survival_ultimate`` route: phi(u) = sum_i F_i
+    c_i(u) + M d(u), the solved free values F_i and the margin M floored
+    at 2^bits, is formed exactly at 2^(2 bits) and rounded once. Plain
+    dict initials, case D and a u_max past an explicit ``n_solve``'s
+    sequences run the recurrence.
     """
+    route = None
     if isinstance(initials, InitialValues):
         given = initials.values_mp or initials.values
+        if initials._route is not None and initials._route.model is model:
+            route = initials._route
     else:
         given = initials
     if u_max < 0:
@@ -546,7 +605,7 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     if sorted(given) != list(range(top + 1)):
         raise InvalidModelError("initial values must cover a contiguous range 0..j")
 
-    tag = classify(model)
+    tag = route.tag if route else classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
         raise InvalidModelError("survival values with no net profit come from no_net_profit_values")
     min_atom = tag.min_s_atom
@@ -555,12 +614,16 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     if top < need:
         raise InvalidModelError(f"need initial values up to index {need}")
 
+    # int / int is correctly rounded
+    if route and route.seqs and len(route.seqs[0]) > u_max:
+        scale = 1 << 2 * initials.precision_bits
+        cols = zip(*(seq[: u_max + 1] for seq in route.seqs))
+        return np.array([sum(map(mul, route.weights, col)) / scale for col in cols])
     bits = _budget(model, tag, u_max)
     if isinstance(initials, InitialValues):
         bits = max(bits, initials.precision_bits)
     phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
-    _forward(_Atoms(model), min_atom, phi, u_max)
-    # int / int is correctly rounded
+    _forward(route.atoms if route else _Atoms(model), min_atom, phi, u_max)
     scale = 1 << bits
     return np.array([v / scale for v in phi])
 
@@ -605,12 +668,100 @@ def residuals(model: ModelSpec, phi) -> Residuals:
     return Residuals(master=worst, constraint=constraint)
 
 
+class _BandLU:
+    """LU factors, with partial pivoting, of the n x n matrix A whose row r
+    holds columns r - kl .. r + 3 at band[r, 0 .. kl + 3].
+
+    The pivot for column k lies in rows k..k + kl, and the row it brings
+    up spans columns k..k + kl + 3, so the elimination works in one
+    (kl + 1) x (kl + 4) window sliding down the diagonal. Rows past n are
+    the identity, which changes no solution.
+    """
+
+    def __init__(self, band: np.ndarray, kl: int):
+        n, width = len(band), kl + 4
+        self.kl, self.width = kl, width
+        self.upper = np.empty((n, width))  # row k: U's columns k..k + kl + 3
+        self.mults = np.empty((n, kl))
+        self.pivots = []
+        unit = np.zeros(width)
+        unit[kl] = 1.0
+        # win[i, j] holds A's (k + i, k + j); rows 0..kl enter trimmed on the left
+        win = np.zeros((kl + 1, width))
+        for i in range(kl + 1):
+            win[i, : i + 4] = (band[i] if i < n else unit)[kl - i :]
+        col, top, below = win[:, 0], win[0], win[1:]
+        for k in range(n):
+            p = int(np.abs(col).argmax())
+            if col[p] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            if p:
+                win[[0, p]] = win[[p, 0]]
+            self.pivots.append(p)
+            self.upper[k] = top
+            mult = self.mults[k] = below[:, 0] / top[0]
+            # eliminate column k and slide the window one step down the diagonal
+            np.subtract(below[:, 1:], np.multiply.outer(mult, top[1:]), out=win[:-1, :-1])
+            win[:-1, -1] = 0.0
+            win[-1] = band[k + kl + 1] if k + kl + 1 < n else unit
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        n, kl, width = len(rhs), self.kl, self.width
+        b = np.append(rhs, np.zeros(kl + 1))
+        for k, (p, mult) in enumerate(zip(self.pivots, self.mults)):
+            if p:
+                b[[k, k + p]] = b[[k + p, k]]
+            b[k + 1 : k + kl + 1] -= mult * b[k]
+        # b[k] is final once step k is done: b[:n] = L^-1 P rhs
+        v = np.zeros(n + width)
+        diag, rest = self.upper[:, 0].tolist(), self.upper[:, 1:]
+        for k in range(n - 1, -1, -1):
+            v[k] = (b[k] - rest[k].dot(v[k + 1 : k + width])) / diag[k]
+        return v[:n]
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits
+    (Dekker 1971), so a product of halves is exact in float64."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _band_residual(band: np.ndarray, kl: int, rhs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """rhs - A v for A in ``_BandLU``'s band layout, as if summed in twice
+    float64's precision: each product's rounding error comes from the
+    split halves, each sum's from the two-sum identity, and the errors are
+    added back at the end (Dot2: Ogita, Rump and Oishi 2005, Accurate sum
+    and dot product)."""
+    n = len(v)
+    padded = np.concatenate([np.zeros(kl), v, np.zeros(4)])
+    v_hi, v_lo = _split(padded)
+    total, err = rhs.copy(), np.zeros(n)
+    for j in range(kl + 4):
+        a, b, b_hi, b_lo = -band[:, j], padded[j : j + n], v_hi[j : j + n], v_lo[j : j + n]
+        a_hi, a_lo = _split(a)
+        prod = a * b
+        err += ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        s = total + prod
+        z = s - total
+        err += (total - (s - z)) + (prod - z)
+        total = s
+    return total + err
+
+
 def boundary_oracle(model: ModelSpec, u_max: int, u_big: int = 400) -> np.ndarray:
     """Independent route: pin phi(u) = 1 for u >= u_big and solve the
     balance equations plus the constraint as one float64 linear system.
 
     Valid when the net profit condition certainly holds, since then
     phi(u) -> 1 and the truncation error decays geometrically in u_big.
+    The system is banded: row u + 1 reaches back to column u + 4 - smax
+    through the s atoms and, while x_{u+2} can be positive, to columns 1
+    and 2, and forward to column u + 4. So it is held in band form,
+    factored by ``_BandLU`` in O(u_big kl^2) time and O(u_big kl) memory,
+    kl = max(1, smax - 3, x_max - 2), and refined once on an accurate
+    residual (``_band_residual``).
     """
     if model.mean_s_upper >= INCOME_PER_PAIR:
         raise InvalidModelError("boundary oracle requires a certain net profit margin")
@@ -621,35 +772,40 @@ def boundary_oracle(model: ModelSpec, u_max: int, u_big: int = 400) -> np.ndarra
 
     s, x, y = model.s, model.x, model.y
     y0, y1 = y.p(0), y.p(1)
-    smax = s.support_max
+    smax, x_max = s.support_max, x.support_max
     n = u_big
-    mat = np.zeros((n, n))
+    kl = max(1, smax - 3, x_max - 2)
+    band = np.zeros((n, kl + 4))  # A's (r, c) at band[r, c - r + kl]
     rhs = np.zeros(n)
 
-    mat[0, 0] = 1.0
-    mat[0, 1] = x.tail(2) * y0 + x.tail(1) * y1 + s.cdf(2)
-    mat[0, 2] = x.tail(1) * y0 + s.cdf(1)
-    mat[0, 3] = s.cdf(0)
+    band[0, kl : kl + 4] = [
+        1.0,
+        x.tail(2) * y0 + x.tail(1) * y1 + s.cdf(2),
+        x.tail(1) * y0 + s.cdf(1),
+        s.cdf(0),
+    ]
     rhs[0] = net_profit_margin(model)
 
-    for u in range(n - 1):
-        r = u + 1
-        mat[r, u] -= 1.0
-        for k in range(max(1, u + 4 - smax), u + 5):
-            c = s.p(u + 4 - k)
-            if c == 0.0:
-                continue
-            if k < n:
-                mat[r, k] += c
-            else:
-                rhs[r] -= c
-        mat[r, 1] -= x.p(u + 3) * y0 + x.p(u + 2) * y1
-        mat[r, 2] -= x.p(u + 2) * y0
+    # row r = u + 1: -phi(u) + sum_a s_a phi(r + 3 - a) - (x.y terms) = 0,
+    # with phi = 1 from column n on
+    band[1:, kl - 1] = -1.0
+    for a in range(smax, -1, -1):
+        lo, hi = max(1, a - 2), min(n, n - 3 + a)  # rows whose column is in 1..n-1
+        band[lo:hi, kl + 3 - a] += s.probs[a]
+        rhs[max(1, hi) :] -= s.probs[a]
+    rows = np.arange(1, min(n, x_max))  # x_{u+2} > 0 possible, u = r - 1
+    xs = np.append(x.probs, 0.0)
+    band[rows, kl + 1 - rows] -= xs[rows + 2] * y0 + xs[rows + 1] * y1
+    band[rows, kl + 2 - rows] -= xs[rows + 1] * y0
 
     try:
-        phi = np.linalg.solve(mat, rhs)
+        lu = _BandLU(band, kl)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"boundary system is singular (u_big={u_big})") from exc
+    phi = lu.solve(rhs)
+    # one step of refinement on an accurate residual takes the answer from
+    # the elimination's error, up to cond(A) eps, to about float64 rounding
+    phi += lu.solve(_band_residual(band, kl, rhs, phi))
 
     if u_max < n:
         return phi[: u_max + 1].copy()
@@ -704,7 +860,10 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
     unit mode, phi(reach) + (mass_defect / margin)(u - reach), flat for
     exact atoms. It solves at the index ``_solve_index`` derives for
     reach, so the precision and the solve index do not grow with u_max.
-    ``residuals`` checks the whole row.
+    That index is at least reach + 8, so in cases A-C ``extend_ultimate``
+    reads phi(0..reach) off the solve's own sequences, and only case D
+    runs the recurrence. The model is classified and its atoms made exact
+    once per call. ``residuals`` checks the whole row.
     """
     if u_max < 0:
         raise InvalidModelError("u_max must be >= 0")

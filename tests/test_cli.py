@@ -1,8 +1,18 @@
 """CLI behavior: rendering, exit codes, determinism."""
 
+import functools
+import io
+from contextlib import redirect_stdout
+from dataclasses import replace
+from unittest import mock
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+from ruinwalk import ModelSpec, from_probs, survival_ultimate
+from ruinwalk import cli
 from ruinwalk.cli import main
 
 
@@ -194,6 +204,43 @@ def test_ultimate_past_solve_cap(capsys):
     phi = np.array([float(c) for c in out.splitlines()[1].split(",")[1:]])
     m = ModelSpec(x=make_displaced_poisson(1.0, 0), y=make_displaced_poisson(2.0, 0))
     assert np.max(np.abs(phi - boundary_oracle(m, u_max=2100, u_big=3000))) < 1e-12
+
+
+# a few values a row can hold, each next to its float64 neighbours where
+# those format differently: signed zeros, NaNs of two payloads, both
+# infinities, and rounding boundaries of --digits
+_NAN2 = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+_CELL_VALUES = [0.0, -0.0, float("nan"), float(_NAN2), float("inf"), float("-inf"), 1.0,
+                np.nextafter(1.0, 0), 1 + 2**-52, 5e-324, 0.1, np.nextafter(0.1, 1),
+                0.0005, np.nextafter(0.0005, 0), 0.9999995, np.nextafter(0.9999995, 1)]
+_cell_runs = st.lists(st.tuples(st.sampled_from(_CELL_VALUES), st.integers(1, 5)),
+                      min_size=1, max_size=10)
+
+
+@functools.cache
+def _small_result():
+    model = ModelSpec(x=from_probs([0.5, 0.25, 0.25]), y=from_probs([0.5, 0.5]))
+    return survival_ultimate(model, u_max=7)
+
+
+@given(_cell_runs, st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]))
+@example([(0.0, 2), (-0.0, 3), (0.0, 1)], None)
+@example([(0.0005, 2), (float(np.nextafter(0.0005, 0)), 2)], 3)
+@settings(max_examples=120, deadline=None)
+def test_ultimate_cells_formatted_per_run(runs, digits):
+    """The row's cells equal one ``cell`` call per value, in raw mode and
+    at --digits 0-6, though each run of bit-identical values is formatted
+    once."""
+    phi = np.array([v for v, count in runs for _ in range(count)], dtype=np.float64)
+    argv = ["ultimate", "--x", "pmf:1", "--y", "pmf:1", "--u-max", str(len(phi) - 1),
+            "--format", "csv"]
+    argv += ["--raw"] if digits is None else ["--digits", str(digits)]
+    out = io.StringIO()
+    with mock.patch.object(cli, "survival_ultimate", return_value=replace(_small_result(), phi=phi)):
+        with redirect_stdout(out):
+            assert main(argv) == 0
+    cell = repr if digits is None else functools.partial(cli._fmt_prob, digits=digits)
+    assert out.getvalue().splitlines()[1].split(",") == ["inf", *map(cell, phi.tolist())]
 
 
 def test_classify_output(capsys):

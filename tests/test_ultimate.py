@@ -24,8 +24,12 @@ from ruinwalk import (
     solve_initials,
     survival_ultimate,
 )
-from ruinwalk.model import CaseKind
-from conftest import random_case_model
+from ruinwalk import ultimate
+from ruinwalk.model import INCOME_PER_PAIR, PREMIUM_PER_PERIOD, CaseKind
+from ruinwalk.pmf import parse_pmf_spec
+from ruinwalk.reference_tables import ALL_TABLES
+from ruinwalk.ultimate import InitialValues, _free_indices, _lundberg_tail
+from conftest import random_case_model, random_model
 
 
 # --- coefficient sequences ---
@@ -329,6 +333,189 @@ def test_cost_stops_growing_with_u_max(rates):
     # the untailed route, solved past u = 600 and extended up to it
     full = extend_ultimate(m, solve_initials(m, n_solve=608), u_max=600)
     assert np.max(np.abs(full - r.phi)) < 1e-13
+
+
+def _within_an_ulp(a, b):
+    return np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b))))
+
+
+def _recurrence_only(init):
+    """The same solve without what it built: ``extend_ultimate`` recurses."""
+    return InitialValues(values=init.values, n_solve=init.n_solve, determinant=init.determinant,
+                         precision_bits=init.precision_bits, values_mp=init.values_mp)
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    forward = ultimate._forward
+
+    def counted(*args):
+        calls.append(args[3])
+        return forward(*args)
+
+    monkeypatch.setattr(ultimate, "_forward", counted)
+    return calls
+
+
+# Rows read off the solve's sequences: the five sequence routes at u_max 600
+# (FAR_ROWS), the D8 model at 300 and table 2's model at 140, 300 and 600.
+READ_OFF_ROWS = [(rates, 600) for rates in FAR_ROWS[:5]]
+READ_OFF_ROWS += [(SHORT_ROWS[0], 300)] + [(SHORT_ROWS[1], u) for u in (140, 300, 600)]
+
+
+@pytest.mark.parametrize("rates, u_max", READ_OFF_ROWS,
+                         ids=["A", "B", "s.1", "s.2", "s.3", "D8", "T2-140", "T2-300", "T2-600"])
+def test_row_read_off_the_solve(monkeypatch, rates, u_max):
+    """``survival_ultimate`` reads phi(0..reach) off the sequences it solved
+    with: no recurrence runs after the dim + 1 sequences, the row is within
+    an ulp of the same solve extended by recurrence, and it agrees with the
+    oracle far past u*."""
+    (lx, dx), (ly, dy) = rates
+    m = ModelSpec(x=make_displaced_poisson(lx, dx), y=make_displaced_poisson(ly, dy))
+    calls = _counting_forward(monkeypatch)
+    r = survival_ultimate(m, u_max=u_max)
+    assert len(calls) == len(_free_indices(r.case)) + 1
+    assert set(calls) == {r.n_solve + 3}
+    monkeypatch.undo()
+    init = solve_initials(m, n_solve=r.n_solve)
+    recurred = extend_ultimate(m, _recurrence_only(init), u_max=r.reach)
+    assert _within_an_ulp(r.phi[: r.reach + 1], recurred)
+    b = boundary_oracle(m, u_max=u_max, u_big=4000)
+    assert np.max(np.abs(r.phi - b)) < 1e-12
+
+
+def test_extend_recurs_without_the_solved_sequences(monkeypatch, ex1, ex3):
+    """Plain dict initials, another model object and a u_max past an
+    explicit n_solve's sequences all take the recurrence."""
+    for m in (ex1, ex3):
+        init = solve_initials(m, n_solve=20)  # sequences up to index 23
+        calls = _counting_forward(monkeypatch)
+        read = extend_ultimate(m, init, u_max=23)
+        assert calls == []
+        assert _within_an_ulp(read, extend_ultimate(m, _recurrence_only(init), u_max=23))
+        assert len(calls) == 1
+        past = extend_ultimate(m, init, u_max=24)
+        assert len(calls) == 2
+        assert np.array_equal(past, extend_ultimate(m, _recurrence_only(init), u_max=24))
+        plain = extend_ultimate(m, dict(init.values_mp), u_max=23)
+        assert len(calls) == 4
+        assert np.array_equal(plain[: len(init.values)], list(init.values.values()))
+        twin = ModelSpec(x=m.x, y=m.y)
+        assert np.array_equal(extend_ultimate(twin, init, u_max=23), past[:24])
+        assert len(calls) == 5
+        monkeypatch.undo()
+
+
+def _parent_lundberg_tail(model):
+    """``_lundberg_tail`` as it stood before its exponent grid was built
+    once, verbatim with its ``_mgf``."""
+
+    def _mgf(p, r, shift):
+        k = np.arange(-shift, len(p.probs) + 1 - shift)
+        return float(np.dot(np.append(p.probs, p.mass_defect), np.exp(r * k)))
+
+    s, x = model.s, model.x
+    if not s.probs[INCOME_PER_PAIR + 1 :].any():
+        x_max = int(np.flatnonzero(x.probs)[-1])
+        return math.inf, 1.0 if x_max <= PREMIUM_PER_PERIOD else math.inf, max(1, x_max - 1)
+    try:
+        z = model.balance_roots
+    except NumericalError:
+        # a subnormal first s atom has no float64 roots: no tail
+        return 0.0, 1.0, math.inf
+    z = z.real[(z.imag == 0) & (z.real > 0) & (z.real < 1)]
+    r = -math.log(z.min()) if z.size else 0.0
+    step = r * 2.0**-40
+    while r > 0 and _mgf(s, r, INCOME_PER_PAIR) > 1:
+        r, step = r - step, 2 * step
+    if r <= 0:
+        return 0.0, 1.0, math.inf
+    c = max(1.0, 1 / _mgf(model.y, r, PREMIUM_PER_PERIOD))
+    return r, c, math.ceil((math.log(c) + 53 * math.log(2)) / r)
+
+
+def test_lundberg_tail_matches_parent_loop():
+    rng = np.random.default_rng(1238)
+    models = [random_model(rng, support_max=int(rng.integers(1, 9))) for _ in range(150)]
+    models += [ModelSpec(x=make_displaced_poisson(rng.uniform(0.1, 2), int(rng.integers(0, 3)),
+                                                  tail_tol=10.0 ** -rng.uniform(6, 15)),
+                         y=make_displaced_poisson(rng.uniform(0.1, 2), int(rng.integers(0, 3)),
+                                                  tail_tol=10.0 ** -rng.uniform(6, 15)))
+               for _ in range(100)]
+    lowered = 0
+    for m in models:
+        got = _lundberg_tail(m)
+        assert got == _parent_lundberg_tail(m)
+        lowered += 0 < got[0] < math.inf
+    assert lowered >= 100
+
+
+def _dense_boundary_system(model, n):
+    """``boundary_oracle``'s system as a dense n x n matrix, columns by
+    absolute index: row 0 is the constraint, row r = u + 1 the balance
+    equation at u, with phi = 1 from column n on."""
+    s, x, y = model.s, model.x, model.y
+    y0, y1 = y.p(0), y.p(1)
+    mat, rhs = np.zeros((n, n)), np.zeros(n)
+    mat[0, :4] = [1.0, x.tail(2) * y0 + x.tail(1) * y1 + s.cdf(2), x.tail(1) * y0 + s.cdf(1),
+                  s.cdf(0)]
+    rhs[0] = net_profit_margin(model)
+    r = np.arange(1, n)
+    mat[r, r - 1] = -1.0
+    for a, c in enumerate(s.probs):
+        k = r + 3 - a  # the column s_a multiplies in row r
+        inside = (k >= 1) & (k < n)
+        mat[r[inside], k[inside]] += c
+        rhs[r[k >= n]] -= c
+    xs = np.concatenate([x.probs, np.zeros(n + 3)])
+    mat[r, 1] -= xs[r + 2] * y0 + xs[r + 1] * y1
+    mat[r, 2] -= xs[r + 1] * y0
+    return mat, rhs
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="the refined dense reference needs an extended long double")
+def test_boundary_oracle_band_solve_matches_dense():
+    """The banded solve against ``np.linalg.solve`` on the dense system,
+    on the bundled tables' models and 20 random ones. Plain LAPACK is off
+    by up to about 1e-12 at u_big 1500 (cond(A) about 1e3), so the dense
+    answer gets one refinement step on a long double residual first."""
+    models = [ModelSpec(x=parse_pmf_spec(t.x_spec), y=parse_pmf_spec(t.y_spec)) for t in ALL_TABLES]
+    models = [m for m in models if classify(m).kind != CaseKind.NO_NET_PROFIT]
+    # s_3 = 0 puts zeros on the diagonal: the elimination has to pivot
+    models.append(ModelSpec(x=from_probs([0.5, 0, 0.5]), y=from_probs([0.5, 0, 0.5])))
+    rng = np.random.default_rng(400)
+    models += [random_case_model(rng, kind, scen) for kind, scen in
+               [("A", None), ("B", None), ("C", "s.1"), ("C", "s.2"), ("C", "s.3"),
+                ("D", "v.1"), ("D", "v.2"), ("D", "v.3"), ("D", "v.4"), ("A", None)] * 2]
+    assert len(models) >= 25
+    for u_big in (400, 1500):
+        for m in models:
+            mat, rhs = _dense_boundary_system(m, u_big)
+            ref = np.linalg.solve(mat, rhs)
+            resid = rhs.astype(np.longdouble) - mat.astype(np.longdouble) @ ref.astype(np.longdouble)
+            ref += np.linalg.solve(mat, resid.astype(np.float64))
+            got = boundary_oracle(m, u_max=u_big - 1, u_big=u_big)
+            assert np.max(np.abs(got - ref)) < 1e-13, (u_big, classify(m))
+
+
+def test_band_lu_pivots():
+    """A band matrix with a zero diagonal factors only with row swaps."""
+    rng = np.random.default_rng(7)
+    n, kl = 40, 3
+    band = rng.uniform(-1, 1, (n, kl + 4))
+    band[:, kl] = 0.0
+    dense = np.zeros((n, n))
+    for r in range(n):
+        for j in range(kl + 4):
+            c = r - kl + j
+            if 0 <= c < n:
+                dense[r, c] = band[r, j]
+            else:
+                band[r, j] = 0.0
+    rhs = rng.uniform(-1, 1, n)
+    got = ultimate._BandLU(band, kl).solve(rhs)
+    assert np.max(np.abs(got - np.linalg.solve(dense, rhs))) < 1e-12 * np.linalg.cond(dense)
 
 
 # Exact dyadic models, one per route: A, B, C s.1, C s.2, C s.3, D v.1.
