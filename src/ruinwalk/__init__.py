@@ -46,7 +46,6 @@ from .pmf import (
     point_mass,
 )
 from .ultimate import (
-    DEFAULT_PRECISION_BITS,
     InitialValues,
     Residuals,
     SequenceSet,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseKind",
     "CaseTag",
-    "DEFAULT_PRECISION_BITS",
     "InitialValues",
     "InvalidModelError",
     "McEstimate",

@@ -39,7 +39,7 @@ from mpmath import mp
 
 from .errors import InvalidModelError
 from .model import CaseKind, ModelSpec, classify
-from .ultimate import SequenceSet, _Atoms, _det, _difference_rows, _sequences
+from .ultimate import SequenceSet, _Atoms, _det, _difference_rows, _mpf_view, _sequences
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,16 @@ class DeterminantTrace:
 
 
 def difference_matrix(seqs: SequenceSet, n: int) -> list[list]:
-    """Rows (c(n+i) - c(n)) for i = 1..dim, as mpf, in solve order."""
+    """Rows (c(n+i) - c(n)) for i = 1..dim in solve order, each difference
+    of the mpf entries rounded once to ``seqs.precision_bits``."""
     if seqs.tag.kind not in (CaseKind.A, CaseKind.B):
         raise InvalidModelError("difference matrices exist only for cases A and B")
     cols = [c for c in (seqs.coeff_phi0, seqs.coeff_phi1, seqs.coeff_phi2) if c is not None]
     dim = len(cols)
     if n + dim > seqs.n_max:
         raise InvalidModelError(f"sequences reach n_max={seqs.n_max}, need index {n + dim}")
-    return _difference_rows(cols, n, dim)
+    with mp.workprec(seqs.precision_bits):
+        return _difference_rows(cols, n, dim)
 
 
 def _suspicious(det: int, rows, bits: int) -> bool:
@@ -113,8 +115,7 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
         rows = _difference_rows(cols, n, dim)
         dets.append(_det(rows))
         shaky = shaky or _suspicious(dets[-1], rows, bits)
-    with mp.workprec(bits):
-        values = [mp.ldexp(mp.mpf(d), -scale) for d in dets]
+    values = [_mpf_view(d, scale, bits) for d in dets]
 
     # the conjectured sign of D_n: + in trace 2 and at even n in trace 1
     signs = [1 if which == 2 or n % 2 == 0 else -1 for n in range(n_max + 1)]
@@ -125,8 +126,7 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
             zero_indices.append(n)
             violations.append((n, f"det M_{n} = 0"))
         elif sign * d < 1 << scale:
-            with mp.workprec(64):  # nstr would print every bit of a wider mantissa
-                got = mp.nstr(mp.ldexp(mp.mpf(d), -scale), 8)
+            got = mp.nstr(_mpf_view(d, scale, 64), 8)  # nstr prints a wide mantissa whole
             bound = ">= 1" if sign > 0 else "<= -1"
             violations.append((n, f"chain start breached: expected det M_{n} {bound}, got {got}"))
     for n in range(len(dets) - stride):

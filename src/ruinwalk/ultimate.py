@@ -32,16 +32,21 @@ and rounded once per value.
 The index n follows from the Lundberg bound below and the growth of the
 modes the free values excite (``_solve_index``).
 The coefficient growth wipes out double precision long before n reaches
-useful values, so sequence generation, the solve and the extension run in
-extended precision. The forward recurrence runs on Python integers scaled
-by 2^bits: the float64 atoms are exact dyadic rationals, so each step's
-numerator is formed exactly and one floor division by the pivot is its
-only rounding. The small solve rounds each exact integer difference
-c(n + i) - c(n) of its system (``_difference_rows``) once and runs in
-mpmath at the same bits. One bit budget (``_budget``) serves all three:
-the growth rates of the recurrence's characteristic roots times the
-index, plus the cancellation Cramer's rule suffers between the dominant
-modes, plus 53 bits of float64 accuracy and a 64-bit guard.
+useful values, so the whole route runs on Python integers scaled by
+2^bits. The float64 atoms are exact dyadic rationals, so the constraint
+row and the margin are exact integers over one power of two (``_Atoms``).
+The head, each step of the forward recurrence, each free value of the
+solve (Cramer's rule on the exact difference system ``_difference_rows``)
+and each case D closed form build their numerator and denominator exactly
+and divide once: the floor of that division, at 2^-bits, is their only
+rounding. mpmath enters only at the boundary: ``_fixed`` floors
+caller-supplied initial values, and the public views (``build_sequences``,
+``InitialValues.values_mp`` and ``determinant``) are exact integers, each
+rounded once by ``_mpf_view``. One bit budget (``_budget``) serves the
+sequences, the solve and the extension: the growth rates of the
+recurrence's characteristic roots times the index, plus the cancellation
+Cramer's rule suffers between the dominant modes, plus 53 bits of
+float64 accuracy and a 64-bit guard.
 
 The route stops where ruin can no longer move a float64 value. With S =
 X + Y one pair's claim and R > 0 the root of E[e^(R(S-4))] = 1, e^(-R U)
@@ -74,6 +79,7 @@ from operator import mul
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidModelError, NumericalError, SingularSystemError
 from .model import (
@@ -88,7 +94,7 @@ from .model import (
 )
 from .pmf import Pmf
 
-DEFAULT_PRECISION_BITS = 256
+_MIN_BITS = 256
 N_SOLVE_CAP = 2000
 
 
@@ -111,62 +117,39 @@ def _fixed(v, scale: int) -> int:
     return man << exp if exp >= 0 else man >> -exp
 
 
+def _mpf_view(n: int, scale: int, bits: int):
+    """n 2^-scale as an mpf rounded once, to nearest, at ``bits``."""
+    return mp.make_mpf(from_man_exp(n, -scale, bits, round_nearest))
+
+
 class _Atoms:
     """A model's float64 atoms held exactly, as integers over a power of two
     per family: x_i = x[i] / 2^ex, y_j = y[j] / 2^ey, s_k = s[k] / 2^es.
 
-    The forward recurrence reads the integers. The head and the solve read
-    mpf values, each rounded once at the working precision from an exact
-    integer, so one view serves every precision a call uses.
+    ``row`` and ``margin`` are the constraint's coefficients of phi(0..3)
+    and its right-hand side,
+
+        phi(0) + (X~(2) y_0 + X~(1) y_1 + S(2)) phi(1)
+               + (X~(1) y_0 + S(1)) phi(2) + S(0) phi(3) = 4 - E[s],
+
+    X~ the tail of x and S the cdf of s, exactly, as integers over the one
+    power 2^e, e = max(es, ex + ey).
     """
 
     def __init__(self, model: ModelSpec):
         self.x, self.ex = _dyadic(model.x.probs)
         self.y, self.ey = _dyadic(model.y.probs)
         self.s, self.es = _dyadic(model.s.probs)
-        self._xcum = list(accumulate(self.x))
-        self._scum = list(accumulate(self.s))
-        self._margin = (INCOME_PER_PAIR << self.es) - sum(k * v for k, v in enumerate(self.s))
-        self._rows = {}
-
-    def x_at(self, i):
-        return mp.ldexp(self.x[i], -self.ex) if 0 <= i < len(self.x) else mp.mpf(0)
-
-    def y_at(self, i):
-        return mp.ldexp(self.y[i], -self.ey) if 0 <= i < len(self.y) else mp.mpf(0)
-
-    def s_cdf(self, u):
-        if u < 0:
-            return mp.mpf(0)
-        return mp.ldexp(self._scum[min(u, len(self._scum) - 1)], -self.es)
-
-    def x_tail(self, u):
-        if u < 0:
-            return mp.mpf(1)
-        return mp.ldexp((1 << self.ex) - self._xcum[min(u, len(self._xcum) - 1)], -self.ex)
-
-    @property
-    def margin(self):
-        return mp.ldexp(self._margin, -self.es)
-
-    def constraint_row(self) -> list:
-        """The constraint's coefficients of phi(0..3),
-
-            phi(0) + (X~(2) y_0 + X~(1) y_1 + S(2)) phi(1)
-                   + (X~(1) y_0 + S(1)) phi(2) + S(0) phi(3) = margin
-
-        X~ the tail of x and S the cdf of s, at the working precision;
-        made once per precision, for the sequences' heads and the solve's.
-        """
-        row = self._rows.get(mp.prec)
-        if row is None:
-            row = self._rows[mp.prec] = [
-                mp.mpf(1),
-                self.s_cdf(2) + self.x_tail(2) * self.y_at(0) + self.x_tail(1) * self.y_at(1),
-                self.s_cdf(1) + self.x_tail(1) * self.y_at(0),
-                self.s_cdf(0),
-            ]
-        return row
+        e = self.e = max(self.es, self.ex + self.ey)
+        ds, dz = e - self.es, e - self.ex - self.ey
+        x0, x1, x2 = (self.x + [0, 0])[:3]
+        y0, y1 = (self.y + [0])[:2]
+        xt1 = (1 << self.ex) - x0 - x1
+        xt2 = xt1 - x2
+        s0, s1, s2 = accumulate((self.s + [0, 0])[:3])
+        self.row = [1 << e, (s2 << ds) + ((xt2 * y0 + xt1 * y1) << dz),
+                    (s1 << ds) + ((xt1 * y0) << dz), s0 << ds]
+        self.margin = ((INCOME_PER_PAIR << self.es) - sum(k * v for k, v in enumerate(self.s))) << ds
 
 
 def _dominant_rates(model: ModelSpec, tag: CaseTag) -> np.ndarray:
@@ -184,11 +167,11 @@ def _budget(model: ModelSpec, tag: CaseTag, n: int) -> int:
     dominant one sets the magnitudes; Cramer's rule on the dim x dim
     difference system then cancels the sum of (g_1 - g_j) over the other
     dim - 1. On top: 53 bits of float64 accuracy and a 64-bit guard, and
-    never fewer than DEFAULT_PRECISION_BITS in all.
+    never fewer than _MIN_BITS in all.
     """
     g = _dominant_rates(model, tag)
     per_index = g[0] + sum(g[0] - g[1:])
-    return max(DEFAULT_PRECISION_BITS, math.ceil(n * per_index) + 53 + 64)
+    return max(_MIN_BITS, math.ceil(n * per_index) + 53 + 64)
 
 
 def _mgf(p: Pmf, shift: int):
@@ -341,20 +324,21 @@ def _free_indices(tag: CaseTag) -> tuple[int, ...]:
     return (1,) if tag.scenario == "s.3" else (0,)
 
 
-def _head(tag: CaseTag, row: list, free, margin) -> list:
-    """phi(0..j) from the free values, with phi(j) from the constraint
-    ``row`` (``_Atoms.constraint_row``). Here j is one past the last free index:
-    3 in case A, 2 in case B and C s.3, 1 in C s.1/s.2; the constraint's
-    coefficients beyond j vanish in each case, and the pivot at j is
-    positive: s_0 in A, s_1 + X~(1) y_0 in B, s_2 + X~(1) y_1 in C s.1/s.2,
-    y_0 in C s.3.
+def _head(tag: CaseTag, row: list[int], free: list[int], rhs: int) -> list[int]:
+    """phi(0..j) scaled by 2^F from the free values scaled by 2^F, with
+    phi(j) from the constraint ``_Atoms.row`` and ``rhs``, its right-hand
+    side over 2^(e + F): floor((rhs - sum_{i<j} row_i phi(i)) / row_j).
+    Here j is one past the last free index: 3 in case A, 2 in case B and C
+    s.3, 1 in C s.1/s.2; the constraint's coefficients beyond j vanish in
+    each case, and the pivot at j is positive: s_0 in A, s_1 + X~(1) y_0
+    in B, s_2 + X~(1) y_1 in C s.1/s.2, y_0 in C s.3.
     """
     idx = _free_indices(tag)
     j = idx[-1] + 1
-    phi = [mp.mpf(0)] * j
+    phi = [0] * j
     for i, v in zip(idx, free):
         phi[i] = v
-    phi.append((margin - mp.fdot(row[:j], phi)) / row[j])
+    phi.append((rhs - sum(map(mul, row, phi))) // row[j])
     return phi
 
 
@@ -368,7 +352,8 @@ class SequenceSet:
     Which of coeff_phi0/1/2 are present depends on the case: case A keeps
     all three, case B drops coeff_phi2, case C keeps a single one (phi(0)
     for scenarios s.1/s.2, phi(1) for s.3 where phi(0) = 0 identically).
-    Entries are mpf computed at ``precision_bits``.
+    Entries are mpf views of the integer sequences of ``_sequences``, each
+    rounded once to ``precision_bits``.
     """
 
     tag: CaseTag
@@ -393,12 +378,10 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[
     """
     free = _free_indices(tag)
     bits = _budget(model, tag, n_max)
-    with mp.workprec(bits):
-        zero, one = mp.mpf(0), mp.mpf(1)
-        row = at.constraint_row()
-        heads = [_head(tag, row, [one if i == k else zero for k in free], zero) for i in free]
-        heads.append(_head(tag, row, [zero] * len(free), one))
-        seqs = [_forward(at, tag.min_s_atom, [_fixed(v, bits) for v in h], n_max) for h in heads]
+    one = 1 << bits
+    heads = [_head(tag, at.row, [one if i == k else 0 for k in free], 0) for i in free]
+    heads.append(_head(tag, at.row, [0] * len(free), one << at.e))
+    seqs = [_forward(at, tag.min_s_atom, h, n_max) for h in heads]
     top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
     if top_mag > bits - 64:
         raise NumericalError(
@@ -410,9 +393,10 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[
 def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 153) -> SequenceSet:
     """Generate the representation coefficients up to index n_max.
 
-    The sequences come from ``_sequences``; each entry is converted exactly
-    to mpf. This is a view for callers outside the package: the solve and
-    the conjecture probes read the integer sequences directly.
+    The sequences come from ``_sequences``; each entry is rounded once to
+    an mpf (``_mpf_view``). This is a view for callers outside the
+    package: the solve and the conjecture probes read the integer
+    sequences directly.
     """
     tag = tag or classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
@@ -423,10 +407,9 @@ def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 1
         raise InvalidModelError("n_max must be at least 4")
 
     seqs, bits = _sequences(model, tag, _Atoms(model), n_max)
-    with mp.workprec(bits):
-        for seq in seqs:  # in place, so that only one copy is held at a time
-            for n, v in enumerate(seq):
-                seq[n] = mp.ldexp(v, -bits)
+    for seq in seqs:  # in place, so that only one copy is held at a time
+        for n, v in enumerate(seq):
+            seq[n] = _mpf_view(v, bits, bits)
 
     coeffs = dict(zip(_free_indices(tag), seqs))
     return SequenceSet(
@@ -446,13 +429,15 @@ def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 1
 @dataclass(frozen=True)
 class _Route:
     """What a solve built, kept for the extension of the same model: its
-    case tag and exact atoms, and in cases A-C the integer sequences of
-    ``_sequences`` (scale 2^bits) with the solved weights, the free values
-    and then the margin, each floored at the same scale."""
+    case tag, exact atoms and the solved phi(0..j) floored at 2^bits, and
+    in cases A-C the integer sequences of ``_sequences`` (same scale) with
+    the solved weights, the free values and then the margin, each floored
+    at that scale."""
 
     model: ModelSpec
     tag: CaseTag
     atoms: _Atoms
+    head: list[int]
     seqs: list[list[int]] | None = None
     weights: list[int] | None = None
 
@@ -461,9 +446,13 @@ class _Route:
 class InitialValues:
     """Solved phi at the low indices each case needs to recurse forward.
 
-    A solve also carries what it built (``_route``, private): in cases A-C
-    ``extend_ultimate`` reads phi(u) = sum_i F_i c_i(u) + M d(u) off the
-    solve's sequences as far as they reach, and recurses beyond.
+    A solve runs on integers. ``values_mp`` and ``determinant`` are views
+    of it: phi(0..j) floored at 2^-precision_bits and the integer det M_n,
+    each rounded once to an mpf of ``precision_bits``; ``values`` holds
+    phi(0..j) correctly rounded to float64. A solve also carries what it
+    built (``_route``, private): ``extend_ultimate`` starts from its
+    integer phi(0..j), and in cases A-C reads phi(u) = sum_i F_i c_i(u) +
+    M d(u) off the solve's sequences as far as they reach.
     """
 
     values: dict[int, float]
@@ -472,6 +461,18 @@ class InitialValues:
     precision_bits: int | None
     values_mp: dict = field(repr=False, default_factory=dict)
     _route: _Route | None = field(repr=False, compare=False, default=None)
+
+
+def _solved(route: _Route, bits: int, n_solve: int = 0, determinant=None) -> InitialValues:
+    """The public views of a solve whose phi(0..j) is ``route.head``."""
+    return InitialValues(
+        values={k: v / (1 << bits) for k, v in enumerate(route.head)},  # int / int rounds once
+        n_solve=n_solve,
+        determinant=determinant,
+        precision_bits=bits,
+        values_mp={k: _mpf_view(v, bits, bits) for k, v in enumerate(route.head)},
+        _route=route,
+    )
 
 
 def _difference_rows(cols, n: int, dim: int) -> list[list]:
@@ -495,30 +496,31 @@ def _det(rows):
 
 
 def _solve_case_d(model: ModelSpec, tag: CaseTag) -> InitialValues:
+    """Case D's closed forms, each one ratio of dyadic integers floored at
+    2^-bits: phi(1) = m / y_1 in v.1 and phi(2) = m / y_0 in v.3, m the
+    margin, and in v.2 and v.4 the two values below."""
     bits = _budget(model, tag, 0)
     at = _Atoms(model)  # shared with the extension through _route
-    with mp.workprec(bits):
-        m = at.margin
-        scen = tag.scenario
-        if scen == "v.1":
-            vals = {0: mp.mpf(0), 1: m / at.y_at(1)}
-        elif scen in ("v.2", "v.4"):
-            # The recurrence at u = 0 and u = 1 gives
-            # phi(1) (s_3 - x_3 y_0 - x_2 y_1) = phi(0); with y_0 = y_1 = 0
-            # in these scenarios the pivot reduces to x_1 y_2 + x_0 y_3.
-            den = at.x_at(1) * at.y_at(2) + at.x_at(0) * at.y_at(3)
-            phi0 = m / (1 + at.x_tail(1) * at.y_at(1) / den)
-            vals = {0: phi0, 1: phi0 / den}
-        else:  # v.3: the first claim is at least 3, so phi(0) = phi(1) = 0
-            vals = {0: mp.mpf(0), 1: mp.mpf(0), 2: m / at.y_at(0)}
-    return InitialValues(
-        values={k: float(v) for k, v in vals.items()},
-        n_solve=0,
-        determinant=None,
-        precision_bits=bits,
-        values_mp=vals,
-        _route=_Route(model, tag, at),
-    )
+    x, y = at.x + [0, 0], at.y + [0, 0, 0, 0]
+
+    def ratio(num: int, den: int) -> int:
+        """floor(m (num / den) 2^bits)."""
+        return (at.margin * num << bits) // (den << at.e)
+
+    scen = tag.scenario
+    if scen == "v.1":
+        head = [0, ratio(1 << at.ey, y[1])]
+    elif scen in ("v.2", "v.4"):
+        # The recurrence at u = 0 and u = 1 gives
+        # phi(1) (s_3 - x_3 y_0 - x_2 y_1) = phi(0); with y_0 = y_1 = 0
+        # in these scenarios the pivot reduces to x_1 y_2 + x_0 y_3, and the
+        # constraint to phi(0) (1 + X~(1) y_1 / pivot) = m.
+        pivot = x[1] * y[2] + x[0] * y[3]  # over 2^(ex + ey)
+        den = pivot + ((1 << at.ex) - x[0] - x[1]) * y[1]
+        head = [ratio(pivot, den), ratio(1 << at.ex + at.ey, den)]
+    else:  # v.3: the first claim is at least 3, so phi(0) = phi(1) = 0
+        head = [0, 0, ratio(1 << at.ey, y[0])]
+    return _solved(_Route(model, tag, at, head), bits)
 
 
 def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
@@ -541,27 +543,20 @@ def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
     at = _Atoms(model)
     seqs, bits = _sequences(model, tag, at, n_solve + 3)
     n, dim = n_solve, len(seqs) - 1
-    with mp.workprec(bits):
-        # phi(n + i) - phi(n) = 0, i = 1..dim, by Cramer's rule on M_n with
-        # the margin's differences on the right-hand side
-        rows = [[mp.ldexp(mp.mpf(v), -bits) for v in row] for row in _difference_rows(seqs, n, dim)]
-        mat = [row[:dim] for row in rows]
-        rhs = [-row[dim] * at.margin for row in rows]
-        det = _det(mat)
-        if det == 0:
-            raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
-        sol = [_det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) / det
-               for j in range(dim)]
-        head = _head(tag, at.constraint_row(), sol, at.margin)
-        weights = [_fixed(v, bits) for v in sol] + [_fixed(at.margin, bits)]
-    return InitialValues(
-        values={k: float(v) for k, v in enumerate(head)},
-        n_solve=n_solve,
-        determinant=det,
-        precision_bits=bits,
-        values_mp=dict(enumerate(head)),
-        _route=_Route(model, tag, at, seqs, weights),
-    )
+    # phi(n + i) - phi(n) = 0, i = 1..dim, by Cramer's rule on the exact
+    # M_n with the margin times its differences on the right-hand side:
+    # det carries 2^(dim bits) and each det_j 2^(dim bits + e) as well
+    rows = _difference_rows(seqs, n, dim)
+    mat = [row[:dim] for row in rows]
+    rhs = [-row[dim] * at.margin for row in rows]
+    det = _det(mat)
+    if det == 0:
+        raise SingularSystemError(f"difference system is singular at n={n}", n=n, determinant=0.0)
+    free = [(_det([row[:j] + [r] + row[j + 1 :] for row, r in zip(mat, rhs)]) << bits) // (det << at.e)
+            for j in range(dim)]
+    top = at.margin << bits
+    route = _Route(model, tag, at, _head(tag, at.row, free, top), seqs, free + [top >> at.e])
+    return _solved(route, bits, n_solve, _mpf_view(det, dim * bits, bits))
 
 
 # ---- forward extension ----
@@ -590,7 +585,8 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     c_i(u) + M d(u), the solved free values F_i and the margin M floored
     at 2^bits, is formed exactly at 2^(2 bits) and rounded once. Plain
     dict initials, case D and a u_max past an explicit ``n_solve``'s
-    sequences run the recurrence.
+    sequences run the recurrence: a solve's from its integer phi(0..j),
+    given values from their floors at 2^-bits.
     """
     route = None
     if isinstance(initials, InitialValues):
@@ -622,7 +618,10 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     bits = _budget(model, tag, u_max)
     if isinstance(initials, InitialValues):
         bits = max(bits, initials.precision_bits)
-    phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
+    if route:
+        phi = [v << (bits - initials.precision_bits) for v in route.head[: u_max + 1]]
+    else:
+        phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
     _forward(route.atoms if route else _Atoms(model), min_atom, phi, u_max)
     scale = 1 << bits
     return np.array([v / scale for v in phi])

@@ -1,6 +1,7 @@
 """Unit tests for the infinite-horizon solver and its cross-checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +186,76 @@ def test_case_d_other_scenarios_match_oracle():
         r = survival_ultimate(m, u_max=20)
         b = boundary_oracle(m, u_max=20)
         assert np.max(np.abs(r.phi - b)) < 1e-8, scen
+
+
+def _exact_atoms(model):
+    """x, y, s as exact rationals of their float64 atoms, padded with
+    zeros, and the margin 4 - E[s] from the same atoms."""
+    x, y, s = ([Fraction(float(v)) for v in p.probs] + [Fraction(0)] * 4
+               for p in (model.x, model.y, model.s))
+    return x, y, s, INCOME_PER_PAIR - sum(k * v for k, v in enumerate(s))
+
+
+def _solve_exact(mat, rhs):
+    """mat v = rhs in exact rationals, by Gauss-Jordan elimination."""
+    aug = [list(row) + [r] for row, r in zip(mat, rhs)]
+    n = len(aug)
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c])
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for r in range(n):
+            f = aug[r][c]
+            if r != c and f:
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [row[n] for row in aug]
+
+
+def test_solve_rounds_once_to_exact_floors():
+    """Each value the solve keeps is the floor at 2^-bits of its exact
+    value: the free values F_j of the difference system over the solve's
+    own integer sequences, solved in rationals with the margin from the
+    float atoms; the margin; and phi(j) from the constraint, written out
+    here from the atoms, at the kept F_j. Case D's closed forms likewise."""
+    rng = np.random.default_rng(1616)
+    for k in range(60):
+        model = random_case_model(rng, "ABC"[k % 3])
+        init = solve_initials(model)
+        route, bits, n = init._route, init.precision_bits, init.n_solve
+        one = 1 << bits
+        x, y, s, margin = _exact_atoms(model)
+        dim = len(route.seqs) - 1
+        rows = [[Fraction(v, one) for v in row]
+                for row in ultimate._difference_rows(route.seqs, n, dim)]
+        free = _solve_exact([row[:dim] for row in rows], [-row[dim] * margin for row in rows])
+        want = [math.floor(v * one) for v in free + [margin]]
+        assert route.weights == want, k
+
+        xt1 = 1 - x[0] - x[1]
+        xt2 = xt1 - x[2]
+        row = [1, s[0] + s[1] + s[2] + xt2 * y[0] + xt1 * y[1], s[0] + s[1] + xt1 * y[0], s[0]]
+        idx = _free_indices(route.tag)
+        j = idx[-1] + 1
+        phi = [Fraction(0)] * j
+        for i, w in zip(idx, route.weights):
+            phi[i] = Fraction(w, one)
+        last = (margin - sum(r * v for r, v in zip(row, phi))) / row[j]
+        assert route.head == [math.floor(v * one) for v in phi + [last]], k
+
+    for scen in ("v.1", "v.2", "v.3", "v.4"):
+        for _ in range(5):
+            model = random_case_model(rng, "D", scen)
+            init = solve_initials(model)
+            x, y, s, m = _exact_atoms(model)
+            if scen == "v.1":
+                want = [0, m / y[1]]
+            elif scen == "v.3":
+                want = [0, 0, m / y[0]]
+            else:
+                pivot = x[1] * y[2] + x[0] * y[3]
+                phi0 = m / (1 + (1 - x[0] - x[1]) * y[1] / pivot)
+                want = [phi0, phi0 / pivot]
+            assert init._route.head == [math.floor(v * (1 << init.precision_bits)) for v in want], scen
 
 
 def test_solver_rejects_no_net_profit(ex5):
