@@ -33,18 +33,25 @@ one's far value shrinks every layer, so it never pays for the compare.
 
 Two independent validators live here as well: a forward dynamic program
 over the surplus (shares nothing with the recursion above) and a Monte
-Carlo estimator. The estimator reads one Philox stream in order: trial i
-takes raw outputs i*t .. (i+1)*t - 1, a period's claim is the number of
-cdf entries <= (raw >> 11) * 2^-53, and a draw past the retained mass
-means ruin. A per-season guide table turns almost every draw into its
-surplus step with one lookup; the rest meet exact integer thresholds.
-Chunking the trials and splitting long horizons into time blocks bound
-the memory and never change the estimate.
+Carlo estimator. The estimator reads one Philox stream: trial i takes raw
+outputs i*t .. (i+1)*t - 1, a period's claim is the number of cdf
+entries <= (raw >> 11) * 2^-53, and a draw past the retained mass means
+ruin. A per-season guide table turns almost every draw into its surplus
+step with one lookup; the rest meet exact integer thresholds. Philox is
+counter-based, so contiguous trial ranges run in parallel, one per CPU
+(two at most at the default budget), each from its own segment of that
+stream, and share one chunk budget.
+Chunking the trials, splitting long horizons into time blocks and
+splitting the trials into ranges bound the memory and the wall time and
+never change the estimate: the survivor count is an integer sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +60,20 @@ from .errors import InvalidModelError
 from .model import ModelSpec, _balance, _forcing, net_profit_margin
 from .ultimate import _lundberg_tail
 
-# Monte Carlo chunk budget: one chunk's temporaries stay under
-# _MC_CHUNK_DOUBLES doubles (8 bytes each), whatever the trial count or
-# the horizon. A chunk holds at most _MC_CHUNK_DOUBLES / 16 draws, so
-# each draw has 128 bytes of budget against about 25 bytes of buffers
-# (raw output, table index, step, a flag byte) and at most 60 of per-trial
-# state. The guide tables get at most _MC_CHUNK_DOUBLES / 64 buckets
-# per season.
+# Monte Carlo chunk budget: the chunks in flight keep their temporaries
+# under _MC_CHUNK_DOUBLES doubles (8 bytes each) together, whatever the
+# trial count, the horizon or the number of parallel trial ranges; each
+# of p ranges gets _MC_CHUNK_DOUBLES / p. A chunk holds at most 1/16 of
+# its budget in draws, so each draw has 128 bytes of budget against about
+# 25 bytes of buffers (raw output, table index, step, a flag byte) and at
+# most 60 of per-trial state. The guide tables, shared by all ranges, get
+# at most _MC_CHUNK_DOUBLES / 64 buckets per season.
 _MC_CHUNK_DOUBLES = 1 << 20
+# Smallest chunk budget that a parallel trial range gets: the share that
+# was measured to pay for its thread, two ranges on a 2-core host. At a
+# quarter of it two ranges ran slower than one, their numpy calls waiting
+# on the interpreter lock, so at the default budget at most two run.
+_MC_RANGE_DOUBLES = _MC_CHUNK_DOUBLES // 2
 # Guide-table buckets per season: at most 2^12, so about atoms / 4096
 # of the draws need the exact threshold search.
 _MC_GUIDE_BITS = 12
@@ -212,52 +225,50 @@ def _guide(pmf, bits: int):
     return thresholds, np.where(exact, _MC_EXACT, 2 - first)
 
 
-def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McEstimate:
-    """Monte Carlo survival estimate from one counter-based Philox stream.
+def _mc_draws(budget: int) -> int:
+    """Draws in one chunk of ``budget`` doubles: 1/16 of it, even, at least 2."""
+    return max(2, budget // 16 // 2 * 2)
 
-    Trial i reads the raw outputs i*t .. (i+1)*t - 1 of Philox(key=seed),
-    in order. Its period j + 1 draws from x when j is even and from y when
-    j is odd; the claim is the number of cdf entries <= (raw >> 11) * 2^-53,
-    the uniform ``Generator.random`` makes of that output. A draw past the
-    retained mass means ruin, matching the truncated-model semantics of
-    survival_finite. A trial survives when its surplus u + sum(2 - claim)
-    stays >= 1 after every period.
 
-    Each chunk of trials maps its draws to steps through a guide table
-    (exact integer compares for draws in buckets that a cdf entry cuts),
-    takes prefix sums, and keeps the lowest. A trial whose horizon alone
-    exceeds the chunk budget runs in time blocks that carry the surplus
-    and its running minimum. Neither chunking nor time blocking changes
-    the estimate.
-    """
-    if trials < 1:
-        raise InvalidModelError("trials must be >= 1")
-    if u < 0 or t < 1:
-        raise InvalidModelError("need u >= 0 and t >= 1")
-    if seed != int(seed) or not 0 <= seed < 2**128:
-        raise InvalidModelError("seed must be an integer in [0, 2**128)")
-
-    budget = _MC_CHUNK_DOUBLES
+def _mc_tables(model: ModelSpec, budget: int):
+    """Guide bits, both seasons' thresholds and their joint guide table."""
     bits = max(1, min(_MC_GUIDE_BITS, (budget // 64).bit_length() - 1))
     (kx, gx), (ky, gy) = _guide(model.x, bits), _guide(model.y, bits)
-    table = np.concatenate((gx, gy))  # y buckets sit 2^bits above x's
-    draws = max(2, budget // 16 // 2 * 2)
-    rows = min(trials, max(1, draws // t))
+    return bits, kx, ky, np.concatenate((gx, gy))  # y buckets sit 2^bits above x's
+
+
+def _mc_survivors(tables, u: int, t: int, seed: int, lo: int, hi: int, scratch, stop) -> int:
+    """Survivors among trials lo .. hi - 1; a partial count once ``stop`` is set.
+
+    ``scratch`` is a (2, draws) int64 array, the index and step buffers of
+    one chunk of ``draws`` draws; the rest of a chunk's memory scales with
+    it as _MC_CHUNK_DOUBLES describes. The trials read raw outputs
+    lo*t .. hi*t - 1 of Philox(key=seed): the stream is opened at block
+    (lo*t) // 4, four outputs a block, and the first (lo*t) % 4 outputs
+    are dropped, so a range sees exactly what the sequential stream gives
+    its trials. ``stop``, a threading.Event, is read before every block of
+    draws, so a set event ends the count within one chunk.
+    """
+    bits, kx, ky, table = tables
+    idx, steps = scratch
+    draws = idx.size
+    rows = max(1, min(hi - lo, draws // t))
     # below t only in one-trial chunks; even, so every block opens on x
     width = min(t, draws)
-    idx = np.empty(rows * width, dtype=np.int64)
-    steps = np.empty_like(idx)
     starts = np.arange(0, rows * width, width)
     floor = max(1 - u, np.iinfo(np.int64).min)
 
-    bit_gen = np.random.Philox(key=int(seed))
+    bit_gen = np.random.Philox(key=seed, counter=lo * t // 4)
+    bit_gen.random_raw(lo * t % 4)
     survived = 0
-    for first in range(0, trials, rows):
-        n = min(rows, trials - first)
+    for first in range(lo, hi, rows):
+        n = min(rows, hi - first)
         level = np.zeros(n, dtype=np.int64)  # surplus - u before the block
         low = np.full(n, np.iinfo(np.int64).max)  # lowest surplus - u yet
         ruined = np.zeros(n, dtype=bool)
         for offset in range(0, t, width):
+            if stop.is_set():
+                return survived
             w = min(width, t - offset)
             raw = bit_gen.random_raw(n * w)
             index, step = idx[: n * w], steps[: n * w]
@@ -267,20 +278,105 @@ def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McE
             pos = np.flatnonzero(step == _MC_EXACT)
             odd = (pos % w) & 1 == 1
             k = (raw[pos] >> 11).astype(np.int64)
+            del raw  # freed before the next block's draws are made
             claim = np.where(odd, np.searchsorted(ky, k, side="right"),
                              np.searchsorted(kx, k, side="right"))
             ruin = claim == np.where(odd, len(ky), len(kx))
             step[pos] = np.where(ruin, 0, 2 - claim)
             ruined[pos[ruin] // w] = True
             # one running sum over the whole block; each row subtracts
-            # the sum in front of it
-            path = np.cumsum(step, out=step)
+            # the sum in front of it. It goes to the spent index buffer:
+            # numpy holds the interpreter lock through an in-place cumsum,
+            # which would serialise the parallel ranges
+            path = np.cumsum(step, out=index)
             ends = path[w - 1 :: w]
             before = np.concatenate(([0], ends[:-1]))
             np.minimum(low, level + np.minimum.reduceat(path, starts[:n]) - before, out=low)
             level += ends - before
         survived += int(np.count_nonzero((low >= floor) & ~ruined))
+    return survived
 
+
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McEstimate:
+    """Monte Carlo survival estimate from one counter-based Philox stream.
+
+    Trial i reads the raw outputs i*t .. (i+1)*t - 1 of Philox(key=seed).
+    Its period j + 1 draws from x when j is even and from y when j is odd;
+    the claim is the number of cdf entries <= (raw >> 11) * 2^-53, the
+    uniform ``Generator.random`` makes of that output. A draw past the
+    retained mass means ruin, matching the truncated-model semantics of
+    survival_finite. A trial survives when its surplus u + sum(2 - claim)
+    stays >= 1 after every period.
+
+    The trials are cut into contiguous ranges, one per CPU the process may
+    run on, but no more than the work fills with whole chunks and no more
+    than give each range _MC_RANGE_DOUBLES of the budget, so a small call
+    or a one-CPU process runs on the calling thread alone. Each range opens
+    its own segment of the stream and gets an equal share of the chunk
+    budget; the calling thread runs the first range and one thread each the
+    rest. When a range fails or the caller is interrupted, the other ranges
+    stop within one chunk and the error reaches the caller. A range's chunks map their draws to steps through a
+    guide table (exact integer compares for draws in buckets that a cdf
+    entry cuts), take prefix sums, and keep the lowest. A trial whose
+    horizon alone exceeds the chunk budget runs in time blocks that carry
+    the surplus and its running minimum. Neither the split into ranges nor
+    chunking nor time blocking changes the estimate.
+    """
+    try:
+        u, t, trials, seed = map(operator.index, (u, t, trials, seed))
+    except TypeError:
+        raise InvalidModelError("u, t, trials and seed must be integers") from None
+    if trials < 1:
+        raise InvalidModelError("trials must be >= 1")
+    if u < 0 or t < 1:
+        raise InvalidModelError("need u >= 0 and t >= 1")
+    if not 0 <= seed < 2**128:
+        raise InvalidModelError("seed must be an integer in [0, 2**128)")
+
+    budget = _MC_CHUNK_DOUBLES
+    tables = _mc_tables(model, budget)
+    parts = max(1, min(_cpus(), trials, trials * t // _mc_draws(budget),
+                       budget // _MC_RANGE_DOUBLES))
+    cuts = [trials * i // parts for i in range(parts + 1)]
+    # every range's buffers come from the calling thread: what a worker
+    # thread frees stays in its own malloc arena, out of the caller's reach.
+    # A range needs no more draws than its trials hold.
+    draws = min(_mc_draws(budget // parts), -(-trials // parts) * t)
+    scratch = np.empty((parts, 2, draws), dtype=np.int64)
+    counts = [0] * parts
+    failures = []
+    stop = threading.Event()
+
+    def count(i):
+        try:
+            counts[i] = _mc_survivors(tables, u, t, seed, cuts[i], cuts[i + 1], scratch[i], stop)
+        except Exception as exc:  # re-raised by the calling thread
+            failures.append((i, exc))
+            stop.set()
+
+    workers = [threading.Thread(target=count, args=(i,)) for i in range(1, parts)]
+    try:
+        for worker in workers:
+            worker.start()
+        count(0)
+        for worker in workers:
+            worker.join()
+    finally:
+        stop.set()  # on an interrupt, the ranges still running stop within one chunk
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
+    if failures:
+        raise min(failures)[1]  # the lowest failed range's error
+
+    survived = sum(counts)
     p_hat = survived / trials
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return McEstimate(estimate=p_hat, stderr=stderr, trials=trials, seed=int(seed))
+    return McEstimate(estimate=p_hat, stderr=stderr, trials=trials, seed=seed)

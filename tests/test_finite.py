@@ -1,6 +1,9 @@
 """Unit tests for the finite-horizon recursion, DP oracle, and simulation."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -406,3 +409,153 @@ def test_mc_seed_range(ex1):
     with pytest.raises(InvalidModelError):
         mc_estimate(ex1, u=1, t=3, trials=10, seed=-1)
     assert mc_estimate(ex1, u=1, t=3, trials=10, seed=2**128 - 1).seed == 2**128 - 1
+
+
+@pytest.mark.parametrize("bad", [
+    dict(seed=math.nan),
+    dict(seed=math.inf),
+    dict(trials=10.0),
+    dict(t=3.0),
+    dict(u=1.5),
+])
+def test_mc_rejects_non_integers(ex1, bad):
+    with pytest.raises(InvalidModelError):
+        mc_estimate(ex1, **(dict(u=1, t=3, trials=10, seed=0) | bad))
+
+
+def test_mc_numpy_integers_give_python_numbers(ex1):
+    est = mc_estimate(ex1, u=np.int64(1), t=np.int32(3), trials=np.int64(10), seed=np.uint64(5))
+    assert type(est.estimate) is float and type(est.stderr) is float
+    assert type(est.trials) is int and type(est.seed) is int
+    assert est == mc_estimate(ex1, u=1, t=3, trials=10, seed=5)
+
+
+def test_positioned_philox_matches_stream():
+    for seed in (0, 7, 2**128 - 1):
+        m = 11
+        for k in range(10):
+            bit_gen = np.random.Philox(key=seed, counter=k // 4)
+            bit_gen.random_raw(k % 4)
+            want = np.random.Philox(key=seed).random_raw(k + m)[k:]
+            assert np.array_equal(bit_gen.random_raw(m), want), (seed, k)
+
+
+@pytest.mark.parametrize("u,t,trials,seed,cap", [
+    (1, 7, 1001, 5, None),  # odd t: most cuts fall inside a Philox block
+    (0, 3, 2, 2**128 - 1, None),  # fewer trials than ranges
+    (2, 101, 40, 9, 1 << 9),  # time blocks of 32 draws
+    (3, 61, 500, 2**128 - 1, 1 << 9),
+    (0, 5, 3000, 12, 1 << 9),  # six trials a chunk
+])
+def test_mc_split_invariance(ex1, monkeypatch, u, t, trials, seed, cap):
+    import ruinwalk.finite as finite
+
+    if cap:
+        monkeypatch.setattr(finite, "_MC_CHUNK_DOUBLES", cap)
+    budget = finite._MC_CHUNK_DOUBLES
+    tables = finite._mc_tables(ex1, budget)
+
+    def survivors(lo, hi, parts):
+        scratch = np.empty((2, finite._mc_draws(budget // parts)), dtype=np.int64)
+        return finite._mc_survivors(tables, u, t, seed, lo, hi, scratch, threading.Event())
+
+    whole = survivors(0, trials, 1)
+    rng = np.random.default_rng(seed % 2**64)
+    for parts in (1, 2, 3):
+        even = [trials * i // parts for i in range(parts + 1)]
+        drawn = [0, *sorted(rng.integers(0, trials + 1, parts - 1).tolist()), trials]
+        for cuts in (even, drawn):
+            got = sum(survivors(lo, hi, parts) for lo, hi in zip(cuts, cuts[1:]))
+            assert got == whole, cuts
+    # more ranges than cores, through the public call, switching often
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(finite, "_MC_RANGE_DOUBLES", 1 << 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        est = mc_estimate(ex1, u=u, t=t, trials=trials, seed=seed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert est.estimate == whole / trials
+
+
+class _CountingThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def test_mc_one_cpu_starts_no_thread(ex1, monkeypatch):
+    args = dict(u=1, t=180, trials=3000, seed=3)
+    monkeypatch.setattr(threading, "Thread", _CountingThread)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _CountingThread.started = 0
+    want = mc_estimate(ex1, **args)
+    assert _CountingThread.started == 1  # the work fills two ranges
+    # wider hosts too: no range gets less than _MC_RANGE_DOUBLES of the budget
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    _CountingThread.started = 0
+    assert mc_estimate(ex1, **args) == want
+    assert _CountingThread.started == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _CountingThread.started = 0
+    assert mc_estimate(ex1, **args) == want
+    assert _CountingThread.started == 0
+
+
+def test_mc_threads_joined_and_worker_errors_raised(ex1, monkeypatch):
+    import ruinwalk.finite as finite
+
+    args = dict(u=1, t=180, trials=3000, seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    before = threading.active_count()
+    mc_estimate(ex1, **args)
+    assert threading.active_count() == before
+
+    survivors = finite._mc_survivors
+
+    def failing(tables, u, t, seed, lo, hi, scratch, stop):
+        if lo > 0:
+            raise RuntimeError(f"range from {lo} failed")
+        return survivors(tables, u, t, seed, lo, hi, scratch, stop)
+
+    monkeypatch.setattr(finite, "_mc_survivors", failing)
+    with pytest.raises(RuntimeError, match="range from 1500 failed"):
+        mc_estimate(ex1, **args)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("error", [RuntimeError("caller failed"), KeyboardInterrupt()])
+def test_mc_caller_error_stops_workers(ex1, monkeypatch, error):
+    import ruinwalk.finite as finite
+
+    # 10^5 trials a range: 550 chunks of 182 trials each at the default budget
+    args = dict(u=1, t=180, trials=200_000, seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    survivors = finite._mc_survivors
+    running = threading.Event()
+    blocks = []
+
+    class Watched:
+        def __init__(self, stop):
+            self.stop = stop
+
+        def is_set(self):
+            blocks.append(None)
+            running.set()
+            return self.stop.is_set()
+
+    def caller_fails(tables, u, t, seed, lo, hi, scratch, stop):
+        if lo == 0:
+            assert running.wait(30)
+            raise error
+        return survivors(tables, u, t, seed, lo, hi, scratch, Watched(stop))
+
+    before = threading.active_count()
+    monkeypatch.setattr(finite, "_mc_survivors", caller_fails)
+    with pytest.raises(type(error)):
+        mc_estimate(ex1, **args)
+    assert threading.active_count() == before
+    assert 1 <= len(blocks) < 100  # the worker stopped early, not after 550 chunks
