@@ -48,10 +48,8 @@ from .pmf import (
 from .ultimate import (
     InitialValues,
     Residuals,
-    SequenceSet,
     UltimateResult,
     boundary_oracle,
-    build_sequences,
     extend_ultimate,
     no_net_profit_values,
     residuals,
@@ -72,12 +70,10 @@ __all__ = [
     "Pmf",
     "PrecisionError",
     "Residuals",
-    "SequenceSet",
     "SingularSystemError",
     "SurvivalGrid",
     "UltimateResult",
     "boundary_oracle",
-    "build_sequences",
     "classify",
     "convolve",
     "dp_oracle",

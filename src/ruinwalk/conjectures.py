@@ -16,10 +16,11 @@ The conjectured chains, stated over the signed determinants:
 ``determinant_trace`` records the signed determinants and lists every
 index where a chain inequality fails (sign-only failures included)
 instead of raising, so unexpected behavior surfaces as data.
-Hand-evaluation suggests the case A chain cannot hold with these signs at
-n = 0 under this row ordering; the trace therefore also carries the
-magnitude-level observations (no zero, |D| nondecreasing along the
-chain's stride, min |D|) that hold regardless of convention.
+Measured, the case A chain as coded held on 0 of 20 random case A models
+at n_max 60, and on all 20 with every D_n negated: its signs do not fit
+this row ordering. The trace therefore also carries the magnitude-level
+observations (no zero, |D| nondecreasing along the chain's stride,
+min |D|) that hold regardless of convention.
 
 Both probes read the integer sequences of ``ultimate._sequences``
 directly, and M_n comes from ``ultimate._difference_rows``, the helper
@@ -39,7 +40,7 @@ from mpmath import mp
 
 from .errors import InvalidModelError
 from .model import CaseKind, ModelSpec, classify
-from .ultimate import SequenceSet, _Atoms, _det, _difference_rows, _mpf_view, _sequences
+from .ultimate import N_SOLVE_CAP, _Atoms, _det, _difference_rows, _mpf_view, _sequences
 
 
 @dataclass(frozen=True)
@@ -64,19 +65,6 @@ class DeterminantTrace:
     precision_bits: int
 
 
-def difference_matrix(seqs: SequenceSet, n: int) -> list[list]:
-    """Rows (c(n+i) - c(n)) for i = 1..dim in solve order, each difference
-    of the mpf entries rounded once to ``seqs.precision_bits``."""
-    if seqs.tag.kind not in (CaseKind.A, CaseKind.B):
-        raise InvalidModelError("difference matrices exist only for cases A and B")
-    cols = [c for c in (seqs.coeff_phi0, seqs.coeff_phi1, seqs.coeff_phi2) if c is not None]
-    dim = len(cols)
-    if n + dim > seqs.n_max:
-        raise InvalidModelError(f"sequences reach n_max={seqs.n_max}, need index {n + dim}")
-    with mp.workprec(seqs.precision_bits):
-        return _difference_rows(cols, n, dim)
-
-
 def _suspicious(det: int, rows, bits: int) -> bool:
     """True when det is zero or sits so far below the entry scale that it
     could be pure cancellation noise at this precision. ``rows`` are
@@ -92,7 +80,8 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
     ``which`` selects the system: 1 for the case A 3x3 matrix, 2 for the
     case B 2x2 matrix; the model must classify accordingly. The trace runs
     once at the sequences' precision budget; if any determinant still looks
-    like cancellation noise there, that is recorded as a violation.
+    like cancellation noise there, that is recorded as a violation. n_max
+    stops at N_SOLVE_CAP: no solve inverts an M_n past that index.
     """
     if which not in (1, 2):
         raise InvalidModelError("which must be 1 (case A) or 2 (case B)")
@@ -102,8 +91,8 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
         raise InvalidModelError(
             f"trace {which} applies to case {need.name} models; this model is {tag.kind.name}"
         )
-    if n_max < 1:
-        raise InvalidModelError("n_max must be at least 1")
+    if not 1 <= n_max <= N_SOLVE_CAP:
+        raise InvalidModelError(f"n_max must lie in 1..{N_SOLVE_CAP}, got {n_max}")
 
     seqs, bits = _sequences(model, tag, _Atoms(model), n_max + 3)
     cols = seqs[:-1]  # the free coefficients; the margin's comes last
@@ -169,8 +158,8 @@ def coefficient_chain(model: ModelSpec, n_max: int = 100) -> ChainReport:
     tag = classify(model)
     if tag.kind != CaseKind.C:
         raise InvalidModelError("coefficient chains apply to case C models")
-    if n_max < 3:
-        raise InvalidModelError("n_max must be at least 3")
+    if not 3 <= n_max <= N_SOLVE_CAP:
+        raise InvalidModelError(f"n_max must lie in 3..{N_SOLVE_CAP}, got {n_max}")
 
     seqs, bits = _sequences(model, tag, _Atoms(model), n_max + 1)
     # the one free coefficient: phi(0)'s in s.1/s.2, phi(1)'s in s.3

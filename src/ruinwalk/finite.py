@@ -322,12 +322,13 @@ def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McE
     its own segment of the stream and gets an equal share of the chunk
     budget; the calling thread runs the first range and one thread each the
     rest. When a range fails or the caller is interrupted, the other ranges
-    stop within one chunk and the error reaches the caller. A range's chunks map their draws to steps through a
-    guide table (exact integer compares for draws in buckets that a cdf
-    entry cuts), take prefix sums, and keep the lowest. A trial whose
-    horizon alone exceeds the chunk budget runs in time blocks that carry
-    the surplus and its running minimum. Neither the split into ranges nor
-    chunking nor time blocking changes the estimate.
+    stop within one chunk and the error reaches the caller. A range's
+    chunks map their draws to steps through a guide table (exact integer
+    compares for draws in buckets that a cdf entry cuts), take prefix
+    sums, and keep the lowest. A trial whose horizon alone exceeds the
+    chunk budget runs in time blocks that carry the surplus and its
+    running minimum. Neither the split into ranges nor chunking nor time
+    blocking changes the estimate.
     """
     try:
         u, t, trials, seed = map(operator.index, (u, t, trials, seed))

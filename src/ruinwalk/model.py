@@ -32,17 +32,11 @@ INCOME_PER_PAIR = 2 * PREMIUM_PER_PERIOD
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Two alternating claim distributions and the (fixed) premium rate."""
+    """Two alternating claim distributions; the premium is the constant
+    PREMIUM_PER_PERIOD."""
 
     x: Pmf
     y: Pmf
-    premium: int = PREMIUM_PER_PERIOD
-
-    def __post_init__(self):
-        if self.premium != PREMIUM_PER_PERIOD:
-            raise InvalidModelError(
-                f"this model is specific to premium rate {PREMIUM_PER_PERIOD}"
-            )
 
     @cached_property
     def s(self) -> Pmf:

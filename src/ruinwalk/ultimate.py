@@ -40,9 +40,10 @@ solve (Cramer's rule on the exact difference system ``_difference_rows``)
 and each case D closed form build their numerator and denominator exactly
 and divide once: the floor of that division, at 2^-bits, is their only
 rounding. mpmath enters only at the boundary: ``_fixed`` floors
-caller-supplied initial values, and the public views (``build_sequences``,
-``InitialValues.values_mp`` and ``determinant``) are exact integers, each
-rounded once by ``_mpf_view``. One bit budget (``_budget``) serves the
+caller-supplied initial values, and the public views
+(``InitialValues.values_mp`` and ``determinant``, and the determinants of
+``conjectures.determinant_trace``) are exact integers, each rounded once
+by ``_mpf_view``. One bit budget (``_budget``) serves the
 sequences, the solve and the extension: the growth rates of the
 recurrence's characteristic roots times the index, plus the cancellation
 Cramer's rule suffers between the dominant modes, plus 53 bits of
@@ -345,26 +346,6 @@ def _head(tag: CaseTag, row: list[int], free: list[int], rhs: int) -> list[int]:
 # ---- coefficient sequences ----
 
 
-@dataclass(frozen=True)
-class SequenceSet:
-    """Representation coefficients phi(n) = sum_i ci_n phi(i) + d_n margin.
-
-    Which of coeff_phi0/1/2 are present depends on the case: case A keeps
-    all three, case B drops coeff_phi2, case C keeps a single one (phi(0)
-    for scenarios s.1/s.2, phi(1) for s.3 where phi(0) = 0 identically).
-    Entries are mpf views of the integer sequences of ``_sequences``, each
-    rounded once to ``precision_bits``.
-    """
-
-    tag: CaseTag
-    n_max: int
-    coeff_phi0: list | None
-    coeff_phi1: list | None
-    coeff_phi2: list | None
-    coeff_margin: list
-    precision_bits: int
-
-
 def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[list[list[int]], int]:
     """The coefficient sequences up to index n_max as integers scaled by
     2^bits, in the order of ``_free_indices`` with the margin's last, and
@@ -388,39 +369,6 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[
             f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"
         )
     return seqs, bits
-
-
-def build_sequences(model: ModelSpec, tag: CaseTag | None = None, n_max: int = 153) -> SequenceSet:
-    """Generate the representation coefficients up to index n_max.
-
-    The sequences come from ``_sequences``; each entry is rounded once to
-    an mpf (``_mpf_view``). This is a view for callers outside the
-    package: the solve and the conjecture probes read the integer
-    sequences directly.
-    """
-    tag = tag or classify(model)
-    if tag.kind == CaseKind.NO_NET_PROFIT:
-        raise InvalidModelError("no coefficient sequences when the net profit condition fails")
-    if tag.kind == CaseKind.D:
-        raise InvalidModelError("case D solves in closed form; it has no coefficient sequences")
-    if n_max < 4:
-        raise InvalidModelError("n_max must be at least 4")
-
-    seqs, bits = _sequences(model, tag, _Atoms(model), n_max)
-    for seq in seqs:  # in place, so that only one copy is held at a time
-        for n, v in enumerate(seq):
-            seq[n] = _mpf_view(v, bits, bits)
-
-    coeffs = dict(zip(_free_indices(tag), seqs))
-    return SequenceSet(
-        tag=tag,
-        n_max=n_max,
-        coeff_phi0=coeffs.get(0),
-        coeff_phi1=coeffs.get(1),
-        coeff_phi2=coeffs.get(2),
-        coeff_margin=seqs[-1],
-        precision_bits=bits,
-    )
 
 
 # ---- initial-value solve ----

@@ -286,6 +286,22 @@ def test_conjecture_subcommand(capsys):
     assert code == 2
 
 
+def test_oversized_requests_exit_2(capsys, monkeypatch):
+    # a request too large to allocate is refused with one line, no traceback
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "survival_ultimate", out_of_memory)
+    model = ["--x", "dpois:1,0", "--y", "dpois:2,0"]
+    code, out, err = run(capsys, "ultimate", *model, "--u-max", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    # no solve inverts an M_n past index 2000, so a trace past it is refused
+    code, out, err = run(capsys, "conjecture", *model, "--which", "1", "--n-max", "2001")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_diagnostics_past_float_range(capsys):
     # determinants from about n = 261 lie beyond float64's exponent range
     code, out, _ = run(capsys, "conjecture", "--x", "dpois:1,0", "--y", "dpois:2,0",

@@ -1,39 +1,57 @@
 """Unit tests for the determinant traces and chain probes."""
 
+from fractions import Fraction
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 from mpmath import mp
 
-from ruinwalk import InvalidModelError, build_sequences, classify, solve_initials
+from ruinwalk import InvalidModelError, classify, solve_initials
 from ruinwalk.conjectures import (
     _suspicious,
     coefficient_chain,
     determinant_trace,
-    difference_matrix,
 )
-from ruinwalk.ultimate import _det
+from ruinwalk.ultimate import N_SOLVE_CAP, _Atoms, _det, _difference_rows, _sequences
 from conftest import random_case_model
+
+
+def _exact_sequences(model, n_max):
+    """The integer sequences both probes read, as exact rationals: the
+    free coefficients first, the margin's last."""
+    seqs, bits = _sequences(model, classify(model), _Atoms(model), n_max)
+    return [[Fraction(v, 1 << bits) for v in seq] for seq in seqs]
 
 
 def test_matrix_rows_at_zero(ex1):
     # rows follow from the head of the sequence table: c(i) - c(0)
-    seqs = build_sequences(ex1, n_max=8)
-    rows = difference_matrix(seqs, 0)
-    assert [float(v) for v in rows[0]] == [-1.0, 1.0, 0.0]
-    assert [float(v) for v in rows[1]] == [-1.0, 0.0, 1.0]
+    rows = _difference_rows(_exact_sequences(ex1, 8)[:-1], 0, 3)
+    assert rows[0] == [-1, 1, 0]
+    assert rows[1] == [-1, 0, 1]
+
+
+def _leibniz_det(mat):
+    """det by the sum over permutations, in exact rationals: shares no code
+    with the cofactor expansion of ``_det``."""
+    total = Fraction(0)
+    for perm in permutations(range(len(mat))):
+        term = Fraction((-1) ** sum(a > b for a, b in combinations(perm, 2)))
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
 
 
 def test_trace_matches_dense_determinant_oracle(ex1, ex2):
-    # independent route: evaluate the same matrices in float64 with numpy
+    # independent route: the same matrices, determinant by the permutation
+    # expansion in exact rationals
     for model, which in ((ex1, 1), (ex2, 2)):
         trace = determinant_trace(model, which=which, n_max=10)
-        seqs = build_sequences(model, classify(model), n_max=13)
+        cols = _exact_sequences(model, 13)[:-1]
         for n in range(11):
-            mat = np.array(
-                [[float(v) for v in row] for row in difference_matrix(seqs, n)]
-            )
-            want = np.linalg.det(mat)
-            assert trace.values[n] == pytest.approx(want, rel=1e-6), f"n={n}"
+            want = _leibniz_det(_difference_rows(cols, n, len(cols)))
+            assert float(trace.values[n]) == pytest.approx(float(want), rel=1e-12), f"n={n}"
 
 
 def test_trace_sees_the_solve_matrix(ex1, ex2):
@@ -116,16 +134,23 @@ def test_chain_interlacing_values():
     # scenario s.3 chain: odd entries climb from 1, even entries fall from -1
     rng = np.random.default_rng(31)
     m = random_case_model(rng, "C", "s.3")
-    seqs = build_sequences(m, n_max=21)
-    c = seqs.coeff_phi1
-    with mp.workprec(seqs.precision_bits):
-        assert c[1] == 1
-        for n in range(1, 18, 2):
-            assert 1 <= c[n] <= c[n + 2]
-        for n in range(2, 18, 2):
-            assert c[n] <= -1 and c[n] >= c[n + 2]
+    c = _exact_sequences(m, 21)[0]  # the phi(1) coefficient, s.3's one free value
+    assert c[1] == 1
+    for n in range(1, 18, 2):
+        assert 1 <= c[n] <= c[n + 2]
+    for n in range(2, 18, 2):
+        assert c[n] <= -1 and c[n] >= c[n + 2]
 
 
 def test_chain_requires_case_c(ex1):
     with pytest.raises(InvalidModelError):
         coefficient_chain(ex1, n_max=20)
+
+
+def test_probes_stop_at_the_solve_cap(ex1, ex3):
+    # no solve inverts an M_n past N_SOLVE_CAP, so a larger n_max is
+    # refused before any sequence is built
+    with pytest.raises(InvalidModelError):
+        determinant_trace(ex1, which=1, n_max=N_SOLVE_CAP + 1)
+    with pytest.raises(InvalidModelError):
+        coefficient_chain(ex3, n_max=N_SOLVE_CAP + 1)

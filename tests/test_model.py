@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ruinwalk import (
-    InvalidModelError,
     ModelSpec,
     PrecisionError,
     classify,
@@ -19,9 +18,11 @@ from ruinwalk.model import CaseKind
 
 
 def test_premium_is_pinned():
+    # the premium is the constant PREMIUM_PER_PERIOD: no keyword sets it
     x = from_probs([1.0])
-    with pytest.raises(InvalidModelError):
-        ModelSpec(x=x, y=x, premium=3)
+    for premium in (2, 3):
+        with pytest.raises(TypeError):
+            ModelSpec(x=x, y=x, premium=premium)
 
 
 def test_pair_sum_is_convolution():

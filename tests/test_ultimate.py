@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 from ruinwalk import (
     InvalidModelError,
@@ -13,7 +12,6 @@ from ruinwalk import (
     NumericalError,
     SingularSystemError,
     boundary_oracle,
-    build_sequences,
     classify,
     extend_ultimate,
     from_probs,
@@ -36,29 +34,31 @@ from conftest import random_case_model, random_model
 # --- coefficient sequences ---
 
 
+def _exact_atoms(model):
+    """x, y, s as exact rationals of their float64 atoms, padded with
+    zeros, and the margin 4 - E[s] from the same atoms."""
+    x, y, s = ([Fraction(float(v)) for v in p.probs] + [Fraction(0)] * 4
+               for p in (model.x, model.y, model.s))
+    return x, y, s, INCOME_PER_PAIR - sum(k * v for k, v in enumerate(s))
+
+
 def _check_representation(model, u_check=24):
     """phi(n) must equal its coefficient representation for solved initials.
 
-    The full-precision initials go through the representation; feeding the
-    float64 roundings instead would amplify their last-bit error by the
-    coefficient growth and drown the check.
+    The representation is summed in exact rationals over the integer
+    sequences of ``_sequences``, with the solve's own floors of phi(0..j);
+    feeding their float64 roundings instead would amplify the last-bit
+    error by the coefficient growth and drown the check.
     """
     tag = classify(model)
-    seqs = build_sequences(model, tag, n_max=u_check)
+    seqs, bits = ultimate._sequences(model, tag, ultimate._Atoms(model), u_check)
     init = solve_initials(model, tag)
     phi = extend_ultimate(model, init, u_max=u_check)
-    with mp.workprec(seqs.precision_bits):
-        margin = mp.mpf(4) - mp.fsum(u * mp.mpf(float(v)) for u, v in enumerate(model.s.probs))
-        for n in range(u_check + 1):
-            want = seqs.coeff_margin[n] * margin
-            for coeffs, idx in (
-                (seqs.coeff_phi0, 0),
-                (seqs.coeff_phi1, 1),
-                (seqs.coeff_phi2, 2),
-            ):
-                if coeffs is not None and idx in init.values_mp:
-                    want += coeffs[n] * init.values_mp[idx]
-            assert abs(float(want) - phi[n]) < 1e-9, f"n={n}"
+    solved = [Fraction(v, 1 << init.precision_bits) for v in init._route.head]
+    weights = [solved[i] for i in _free_indices(tag)] + [_exact_atoms(model)[3]]
+    for n in range(u_check + 1):
+        want = sum(w * Fraction(c[n], 1 << bits) for w, c in zip(weights, seqs))
+        assert abs(float(want) - phi[n]) < 1e-9, f"n={n}"
 
 
 def test_representation_identity_case_a(ex1):
@@ -103,62 +103,52 @@ def test_sequences_satisfy_master_recurrence_and_constraint(request, route):
 
     Both equations are written out here from the atoms, not taken from
     the solver, so this checks the sequences without going through the
-    forward-recurrence kernel that produced them.
+    forward-recurrence kernel that produced them. They are evaluated in
+    exact rationals on the integer sequences, so the only slack is the
+    kernel's own floors at 2^-bits.
     """
     model = _route_model(request, route)
     n_max = 40
-    seqs = build_sequences(model, n_max=n_max)
-    bits = seqs.precision_bits
+    seqs, bits = ultimate._sequences(model, classify(model), ultimate._Atoms(model), n_max)
     rng = np.random.default_rng(len(route))
-    with mp.workprec(bits):
-        tol = mp.mpf(2) ** -(bits - 64)
-        x = [mp.mpf(float(v)) for v in model.x.probs]
-        y = [mp.mpf(float(v)) for v in model.y.probs]
-        s = [mp.mpf(float(v)) for v in model.s.probs]
+    tol = Fraction(1, 1 << (bits - 64))
+    x, y, s, _ = _exact_atoms(model)
 
-        def atom(seq, i):
-            return seq[i] if 0 <= i < len(seq) else mp.mpf(0)
+    def atom(seq, i):
+        return seq[i] if 0 <= i < len(seq) else 0
 
-        cols = [(c, mp.mpf(rng.uniform(-1, 1)))
-                for c in (seqs.coeff_phi0, seqs.coeff_phi1, seqs.coeff_phi2) if c is not None]
-        m = mp.mpf(rng.uniform(0.1, 1))
-        L = [mp.fsum([c[n] * v for c, v in cols] + [seqs.coeff_margin[n] * m])
-             for n in range(n_max + 1)]
+    weights = [Fraction(rng.uniform(-1, 1)) for _ in seqs[:-1]]
+    m = Fraction(rng.uniform(0.1, 1))
+    L = [sum(w * c[n] for w, c in zip(weights + [m], seqs)) / (1 << bits)
+         for n in range(n_max + 1)]
 
-        def holds(lhs, terms, rel):
-            scale = max([abs(lhs)] + [abs(t) for t in terms])
-            return abs(lhs - mp.fsum(terms)) <= rel * scale
+    def holds(lhs, terms, rel):
+        scale = max([abs(lhs)] + [abs(t) for t in terms])
+        return abs(lhs - sum(terms)) <= rel * scale
 
-        y0, y1 = atom(y, 0), atom(y, 1)
-        for u in range(n_max - 3):
-            terms = [L[k] * atom(s, u + 4 - k) for k in range(1, u + 5)]
-            terms += [-(atom(x, u + 3) * y0 + atom(x, u + 2) * y1) * L[1],
-                      -atom(x, u + 2) * y0 * L[2]]
-            # In C s.3 the right side at u = 0 vanishes only through the
-            # atom identities s_2 = x_2 y_0 and s_3 = x_3 y_0 + x_2 y_1, which
-            # the float64 atoms of s meet to rounding; L(0) = 0 exactly.
-            if route == "s.3" and u == 0:
-                assert L[0] == 0
-                assert holds(L[0], terms, mp.mpf(2) ** -50), f"u={u}"
-                continue
-            assert holds(L[u], terms, tol), f"u={u}"
+    y0, y1 = atom(y, 0), atom(y, 1)
+    for u in range(n_max - 3):
+        terms = [L[k] * atom(s, u + 4 - k) for k in range(1, u + 5)]
+        terms += [-(atom(x, u + 3) * y0 + atom(x, u + 2) * y1) * L[1],
+                  -atom(x, u + 2) * y0 * L[2]]
+        # In C s.3 the right side at u = 0 vanishes only through the
+        # atom identities s_2 = x_2 y_0 and s_3 = x_3 y_0 + x_2 y_1, which
+        # the float64 atoms of s meet to rounding; L(0) = 0 exactly.
+        if route == "s.3" and u == 0:
+            assert L[0] == 0
+            assert holds(L[0], terms, Fraction(1, 1 << 50)), f"u={u}"
+            continue
+        assert holds(L[u], terms, tol), f"u={u}"
 
-        x_tail = [1 - mp.fsum(x[: k + 1]) for k in range(3)]
-        s_cdf = [mp.fsum(s[: k + 1]) for k in range(3)]
-        constraint = [
-            L[0],
-            (x_tail[2] * y0 + x_tail[1] * y1 + s_cdf[2]) * L[1],
-            (x_tail[1] * y0 + s_cdf[1]) * L[2],
-            s_cdf[0] * L[3],
-        ]
-        assert holds(m, constraint, tol)
-
-
-def test_sequences_reject_wrong_cases(ex4, ex5):
-    with pytest.raises(InvalidModelError):
-        build_sequences(ex4, n_max=20)  # case D is closed form
-    with pytest.raises(InvalidModelError):
-        build_sequences(ex5, n_max=20)  # no net profit
+    x_tail = [1 - sum(x[: k + 1]) for k in range(3)]
+    s_cdf = [sum(s[: k + 1]) for k in range(3)]
+    constraint = [
+        L[0],
+        (x_tail[2] * y0 + x_tail[1] * y1 + s_cdf[2]) * L[1],
+        (x_tail[1] * y0 + s_cdf[1]) * L[2],
+        s_cdf[0] * L[3],
+    ]
+    assert holds(m, constraint, tol)
 
 
 # --- initial values ---
@@ -186,14 +176,6 @@ def test_case_d_other_scenarios_match_oracle():
         r = survival_ultimate(m, u_max=20)
         b = boundary_oracle(m, u_max=20)
         assert np.max(np.abs(r.phi - b)) < 1e-8, scen
-
-
-def _exact_atoms(model):
-    """x, y, s as exact rationals of their float64 atoms, padded with
-    zeros, and the margin 4 - E[s] from the same atoms."""
-    x, y, s = ([Fraction(float(v)) for v in p.probs] + [Fraction(0)] * 4
-               for p in (model.x, model.y, model.s))
-    return x, y, s, INCOME_PER_PAIR - sum(k * v for k, v in enumerate(s))
 
 
 def _solve_exact(mat, rhs):
@@ -519,6 +501,27 @@ def test_lundberg_tail_matches_parent_loop():
         assert got == _parent_lundberg_tail(m)
         lowered += 0 < got[0] < math.inf
     assert lowered >= 100
+
+
+# x against y = pmf:0,eps,1 has the balance roots z = 1/2 and 1 as eps
+# goes to 0, so R = ln 2; a tiny or subnormal eps puts a huge root next to
+# them, and float64 root-finding loses them (ROADMAP D10 and direction 1).
+# When the roots are found exactly, these tests pass and strict xfail
+# turns that into a failure, so the marks come off with the fix.
+_BADLY_SCALED_X = "pmf:0,0.6666666666666666,0,0.3333333333333334"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="D10: np.roots loses z = 1/2")
+def test_lundberg_tail_next_to_a_tiny_atom():
+    m = ModelSpec(x=parse_pmf_spec(_BADLY_SCALED_X), y=parse_pmf_spec("pmf:0,1e-100,1"))
+    assert _lundberg_tail(m)[0] == pytest.approx(math.log(2), rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalError, reason="np.roots overflows on a subnormal s atom")
+def test_subnormal_first_s_atom_solves():
+    m = ModelSpec(x=parse_pmf_spec(_BADLY_SCALED_X), y=parse_pmf_spec("pmf:0,2.225073858507e-311,1"))
+    r = survival_ultimate(m, u_max=40)
+    assert np.max(np.abs(r.phi - boundary_oracle(m, u_max=40))) < 1e-8
 
 
 def _dense_boundary_system(model, n):
