@@ -15,8 +15,8 @@ model_a = ModelSpec(
 )
 trace = determinant_trace(model_a, which=1, n_max=12)
 print("3x3 trace (both claims can be zero)")
-for n, d in enumerate(trace.values):
-    print(f"  D_{n:<3d} = {float(d):+.6e}")
+for n, d in enumerate(trace.numerators):
+    print(f"  D_{n:<3d} = {d / 2**trace.scale:+.6e}")
 print(f"  smallest magnitude: {trace.min_abs:.3f}")
 print(f"  magnitudes nondecreasing along parity: {trace.abs_monotone}")
 print(f"  recorded deviations from the expected sign pattern: {len(trace.violations)}")
@@ -32,8 +32,8 @@ model_b = ModelSpec(
 )
 trace = determinant_trace(model_b, which=2, n_max=12)
 print("2x2 trace (smallest claim total is 1)")
-for n, d in enumerate(trace.values):
-    print(f"  D_{n:<3d} = {float(d):+.6e}")
+for n, d in enumerate(trace.numerators):
+    print(f"  D_{n:<3d} = {d / 2**trace.scale:+.6e}")
 print(f"  smallest magnitude: {trace.min_abs:.3f}")
 print(f"  magnitudes nondecreasing: {trace.abs_monotone}")
 print(f"  recorded deviations: {len(trace.violations)}")

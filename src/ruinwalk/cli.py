@@ -21,7 +21,7 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from .conjectures import determinant_trace
+from .conjectures import _round_sig, determinant_trace
 from .errors import InvalidModelError, NumericalError, PrecisionError
 from .finite import mc_estimate, survival_finite
 from .model import CaseKind, ModelSpec, classify, net_profit_margin
@@ -58,26 +58,22 @@ def _fmt_prob(value: float, digits: int) -> str:
     return s if s else "0"
 
 
-def _fmt_det(value, raw: bool) -> str:
-    """A determinant as '%.6e' text (repr in raw mode). One past float64's
-    exponent range, which float() would turn into inf or 0, prints 7
-    digits (17, trailing zeros trimmed, in raw mode) rounded half up from
-    its exact value in integers: mp.nstr would put its mantissa of up to
-    many thousand bits through str()."""
-    v = float(value)
-    if math.isfinite(v) and (v != 0 or value == 0):
+def _fmt_det(num: int, den: int, raw: bool) -> str:
+    """The determinant num / den, den > 0, as '%.6e' text (repr in raw
+    mode) of its correctly rounded float64. One past float64's exponent
+    range, which num / den refuses or turns into 0, prints 7 digits (17,
+    trailing zeros trimmed, in raw mode) rounded half up from its exact
+    value."""
+    try:
+        v = num / den
+    except OverflowError:
+        v = 0.0  # past the range, like a nonzero num / den that rounds to 0
+    if v or not num:
         return repr(v) if raw else f"{v:.6e}"
     places = 17 if raw else 7
-    man, exp = value.man_exp
-    num, den = abs(man) << max(exp, 0), 1 << max(-exp, 0)  # |value| = num / den
-    # k = floor(log10 |value|), from an estimate at most one short
-    k = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
-    k += num * 10 ** max(-k - 1, 0) >= den * 10 ** max(k + 1, 0)
-    up, down = 10 ** max(places - 1 - k, 0), 10 ** max(k + 1 - places, 0)
-    digits = str((2 * num * up + den * down) // (2 * den * down))  # rounded half up
-    k += len(digits) > places  # the rounding carried to 10^places
-    tail = digits[1:places].rstrip("0" if raw else "") or "0"
-    return f"{'-' if value < 0 else ''}{digits[0]}.{tail}e{k:+d}"
+    digits, k = _round_sig(num, den, places)
+    tail = digits[1:].rstrip("0" if raw else "") or "0"
+    return f"{'-' if num < 0 else ''}{digits[0]}.{tail}e{k:+d}"
 
 
 def _run_cells(cell, values: np.ndarray) -> list[str]:
@@ -258,7 +254,8 @@ def _cmd_ultimate(ns) -> int:
     header = ["T\\u", *map(str, range(ns.u_max + 1))]
     rows = [["inf", *_run_cells(cell, result.phi)]]
     _emit_table(header, rows, ns.format)
-    det = "none" if result.determinant is None else _fmt_det(result.determinant, raw=False)
+    d = result.determinant
+    det = "none" if d is None else _fmt_det(d.numerator, d.denominator, raw=False)
     bits = "none" if result.precision_bits is None else str(result.precision_bits)
     tail = ["none" if v is None else format(v, ".6g")
             for v in (result.lundberg_r, result.lundberg_c, result.reach)]
@@ -308,7 +305,8 @@ def _cmd_conjecture(ns) -> int:
     model = _model_from(ns)
     trace = determinant_trace(model, which=ns.which, n_max=ns.n_max)
     header = ["n", "D_n"]
-    rows = [[str(n), _fmt_det(v, ns.raw)] for n, v in enumerate(trace.values)]
+    den = 1 << trace.scale
+    rows = [[str(n), _fmt_det(d, den, ns.raw)] for n, d in enumerate(trace.numerators)]
     _emit_table(header, rows, ns.format)
     for text in (
         f"min_abs: {trace.min_abs:.6e}",

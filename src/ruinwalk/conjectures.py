@@ -24,9 +24,9 @@ min |D|) that hold regardless of convention.
 
 Both probes read the integer sequences of ``ultimate._sequences``
 directly, and M_n comes from ``ultimate._difference_rows``, the helper
-the solve inverts: D_n is the exact integer determinant of those rows,
-rounded once to ``precision_bits``, and every chain check compares exact
-integers.
+the solve inverts: D_n is the exact integer determinant of those rows
+over the power of two their entries carry, and every chain check
+compares exact integers.
 
 Case C has no matrix; its scalar analogue is a chain condition on the
 single coefficient sequence, probed by ``coefficient_chain``.
@@ -34,22 +34,24 @@ single coefficient sequence, probed by ``coefficient_chain``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from mpmath import mp
 
 from .errors import InvalidModelError
 from .model import CaseKind, ModelSpec, classify
-from .ultimate import N_SOLVE_CAP, _Atoms, _det, _difference_rows, _mpf_view, _sequences
+from .ultimate import N_SOLVE_CAP, _Atoms, _det, _difference_rows, _sequences
+
+_LOG10_2 = math.log10(2)
 
 
 @dataclass(frozen=True)
 class DeterminantTrace:
     """Signed determinants det M_n for n = 0..n_max, with flags.
 
-    ``values`` holds the determinants as mpf, each the exact integer
-    determinant rounded once to ``precision_bits``: their exponents outrun
-    float64 under steep coefficient growth. ``violations`` pairs each
+    D_n is exactly ``numerators[n] / 2**scale``: the integers share one
+    scale, since a fraction per D_n would cost a gcd each, and their
+    exponents outrun float64 under steep coefficient growth. ``min_abs``
+    is min |D_n| as a float (inf past its range). ``violations`` pairs each
     breached index with a description. ``abs_monotone`` reports whether
     |D_n| is nondecreasing along the chain stride (2 for trace 1's parity
     classes, 1 for trace 2), a convention-free summary.
@@ -57,12 +59,51 @@ class DeterminantTrace:
 
     which: int
     n_max: int
-    values: list
+    numerators: list[int]
+    scale: int
     min_abs: float
     abs_monotone: bool
     zero_indices: list[int]
     violations: list[tuple[int, str]]
     precision_bits: int
+
+
+def _round_sig(num: int, den: int, places: int) -> tuple[str, int]:
+    """|num| / den, den > 0, rounded half up to ``places`` significant
+    digits: the digit string and the exponent k of its leading digit, so
+    that the rounded value is int(digits) 10^(k + 1 - places)."""
+    num = abs(num)
+    # k = floor(log10(num / den)), from an estimate at most one short: the
+    # ratio lies in (2^(b - 1), 2^(b + 1)), b the bit length difference
+    k = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
+    k += num * 10 ** max(-k - 1, 0) >= den * 10 ** max(k + 1, 0)
+    up, down = 10 ** max(places - 1 - k, 0), 10 ** max(k + 1 - places, 0)
+    digits = str((2 * num * up + den * down) // (2 * den * down))
+    if len(digits) > places:  # the rounding carried to 10^places
+        digits, k = digits[:places], k + 1
+    return digits, k
+
+
+def _nstr(num: int, scale: int) -> str:
+    """num / 2^scale as short text: the value rounded to 64 bits (nearest,
+    ties to even), then to 8 significant digits (half up), in fixed point
+    when the leading digit's exponent k has -5 < k < 8, else as d.ddde+k,
+    trailing zeros trimmed down to one."""
+    n = abs(num)
+    drop = max(n.bit_length() - 64, 0)
+    if drop:
+        q, rest, half = n >> drop, n & ((1 << drop) - 1), 1 << drop - 1
+        n = q + (rest > half or (rest == half and q & 1))
+    digits, k = _round_sig(n << max(drop - scale, 0), 1 << max(scale - drop, 0), 8)
+    if -5 < k < 8:
+        text = f"0.{'0' * (-k - 1)}{digits}" if k < 0 else f"{digits[: k + 1]}.{digits[k + 1 :]}"
+        exp = ""
+    else:
+        text, exp = f"{digits[0]}.{digits[1:]}", f"e{k:+d}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return ("-" if num < 0 else "") + text + exp
 
 
 def _suspicious(det: int, rows, bits: int) -> bool:
@@ -104,7 +145,6 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
         rows = _difference_rows(cols, n, dim)
         dets.append(_det(rows))
         shaky = shaky or _suspicious(dets[-1], rows, bits)
-    values = [_mpf_view(d, scale, bits) for d in dets]
 
     # the conjectured sign of D_n: + in trace 2 and at even n in trace 1
     signs = [1 if which == 2 or n % 2 == 0 else -1 for n in range(n_max + 1)]
@@ -115,7 +155,7 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
             zero_indices.append(n)
             violations.append((n, f"det M_{n} = 0"))
         elif sign * d < 1 << scale:
-            got = mp.nstr(_mpf_view(d, scale, 64), 8)  # nstr prints a wide mantissa whole
+            got = _nstr(d, scale)
             bound = ">= 1" if sign > 0 else "<= -1"
             violations.append((n, f"chain start breached: expected det M_{n} {bound}, got {got}"))
     for n in range(len(dets) - stride):
@@ -125,12 +165,17 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
     monotone = all(abs(dets[n]) <= abs(dets[n + stride]) for n in range(len(dets) - stride))
     if shaky:
         violations.append((-1, f"some determinants could not be certified nonzero at {bits} bits"))
+    try:
+        min_abs = min(map(abs, dets)) / (1 << scale)
+    except OverflowError:
+        min_abs = math.inf
 
     return DeterminantTrace(
         which=which,
         n_max=n_max,
-        values=values,
-        min_abs=float(min(map(abs, values))),
+        numerators=dets,
+        scale=scale,
+        min_abs=min_abs,
         abs_monotone=monotone,
         zero_indices=zero_indices,
         violations=violations,

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidModelError, NumericalError
+from .errors import InvalidModelError
 
 # Explicit atom lists must account for all mass up to this tolerance.
 EXPLICIT_SUM_TOL = 1e-9
@@ -144,8 +144,9 @@ def make_displaced_poisson(lam: float, shift: int, tail_tol: float = 1e-12) -> P
         raise InvalidModelError(f"tail_tol must lie in (0, 1e-6], got {tail_tol!r}")
     shift = int(shift)
     mode = math.floor(lam)
-    if mode > 10_000_000:
-        raise NumericalError(f"displaced Poisson support too long for lambda={lam}")
+    # the atoms run up past shift + mode: refuse before allocating them
+    if shift + mode > 10_000_000:
+        raise InvalidModelError(f"displaced Poisson support too long for lambda={lam}, shift={shift}")
 
     # Weights relative to the mode, w_j = p_j / p_mode, by the ratios
     # p_j / p_{j-1} = lam / j: below the mode down to where they underflow,

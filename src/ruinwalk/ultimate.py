@@ -39,11 +39,11 @@ The head, each step of the forward recurrence, each free value of the
 solve (Cramer's rule on the exact difference system ``_difference_rows``)
 and each case D closed form build their numerator and denominator exactly
 and divide once: the floor of that division, at 2^-bits, is their only
-rounding. mpmath enters only at the boundary: ``_fixed`` floors
-caller-supplied initial values, and the public views
-(``InitialValues.values_mp`` and ``determinant``, and the determinants of
-``conjectures.determinant_trace``) are exact integers, each rounded once
-by ``_mpf_view``. One bit budget (``_budget``) serves the
+rounding. ``_fixed`` floors caller-supplied initial values exactly, and
+the public views are exact: ``InitialValues.determinant`` is the integer
+det M_n over its power of two as a ``Fraction``, and
+``conjectures.determinant_trace`` keeps its integers and their shared
+scale. One bit budget (``_budget``) serves the
 sequences, the solve and the extension: the growth rates of the
 recurrence's characteristic roots times the index, plus the cancellation
 Cramer's rule suffers between the dominant modes, plus 53 bits of
@@ -75,12 +75,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 import numpy as np
-from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import InvalidModelError, NumericalError, SingularSystemError
 from .model import (
@@ -110,17 +109,13 @@ def _dyadic(values) -> tuple[list[int], int]:
 
 
 def _fixed(v, scale: int) -> int:
-    """floor(v 2^scale), exactly, for a float or an mpf v."""
-    v = mp.ldexp(v, scale)
-    man, exp = v.man_exp
-    if v < 0:
-        man = -man
-    return man << exp if exp >= 0 else man >> -exp
-
-
-def _mpf_view(n: int, scale: int, bits: int):
-    """n 2^-scale as an mpf rounded once, to nearest, at ``bits``."""
-    return mp.make_mpf(from_man_exp(n, -scale, bits, round_nearest))
+    """floor(v 2^scale), exactly, for any real v that ``Fraction`` takes
+    exactly: a float, int, numpy scalar, Decimal or Fraction."""
+    try:
+        v = Fraction(v)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidModelError(f"initial value {v!r} is not a finite real number") from None
+    return (v.numerator << scale) // v.denominator
 
 
 class _Atoms:
@@ -394,20 +389,19 @@ class _Route:
 class InitialValues:
     """Solved phi at the low indices each case needs to recurse forward.
 
-    A solve runs on integers. ``values_mp`` and ``determinant`` are views
-    of it: phi(0..j) floored at 2^-precision_bits and the integer det M_n,
-    each rounded once to an mpf of ``precision_bits``; ``values`` holds
-    phi(0..j) correctly rounded to float64. A solve also carries what it
-    built (``_route``, private): ``extend_ultimate`` starts from its
-    integer phi(0..j), and in cases A-C reads phi(u) = sum_i F_i c_i(u) +
-    M d(u) off the solve's sequences as far as they reach.
+    A solve runs on integers. ``values`` holds its phi(0..j), floored at
+    2^-precision_bits, correctly rounded to float64, and ``determinant``
+    is the integer det M_n over its 2^(dim precision_bits), exactly. A
+    solve also carries what it built (``_route``, private):
+    ``extend_ultimate`` starts from its integer phi(0..j), and in cases
+    A-C reads phi(u) = sum_i F_i c_i(u) + M d(u) off the solve's sequences
+    as far as they reach.
     """
 
     values: dict[int, float]
     n_solve: int
-    determinant: mp.mpf | None
+    determinant: Fraction | None
     precision_bits: int | None
-    values_mp: dict = field(repr=False, default_factory=dict)
     _route: _Route | None = field(repr=False, compare=False, default=None)
 
 
@@ -418,7 +412,6 @@ def _solved(route: _Route, bits: int, n_solve: int = 0, determinant=None) -> Ini
         n_solve=n_solve,
         determinant=determinant,
         precision_bits=bits,
-        values_mp={k: _mpf_view(v, bits, bits) for k, v in enumerate(route.head)},
         _route=route,
     )
 
@@ -504,7 +497,7 @@ def solve_initials(model: ModelSpec, tag: CaseTag | None = None,
             for j in range(dim)]
     top = at.margin << bits
     route = _Route(model, tag, at, _head(tag, at.row, free, top), seqs, free + [top >> at.e])
-    return _solved(route, bits, n_solve, _mpf_view(det, dim * bits, bits))
+    return _solved(route, bits, n_solve, Fraction(det, 1 << dim * bits))
 
 
 # ---- forward extension ----
@@ -532,24 +525,22 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     they always do on the ``survival_ultimate`` route: phi(u) = sum_i F_i
     c_i(u) + M d(u), the solved free values F_i and the margin M floored
     at 2^bits, is formed exactly at 2^(2 bits) and rounded once. Plain
-    dict initials, case D and a u_max past an explicit ``n_solve``'s
-    sequences run the recurrence: a solve's from its integer phi(0..j),
-    given values from their floors at 2^-bits.
+    dict initials, case D, another model object and a u_max past an
+    explicit ``n_solve``'s sequences run the recurrence: a solve's from its
+    integer phi(0..j), given values from their floors at 2^-bits.
     """
-    route = None
-    if isinstance(initials, InitialValues):
-        given = initials.values_mp or initials.values
-        if initials._route is not None and initials._route.model is model:
-            route = initials._route
-    else:
-        given = initials
+    solved = isinstance(initials, InitialValues)
+    given = initials.values if solved else initials
+    route = initials._route if solved else None
+    # the solve's tag, atoms and sequences serve only the model object it solved
+    own = route if route and route.model is model else None
     if u_max < 0:
         raise InvalidModelError("u_max must be >= 0")
     top = max(given)
     if sorted(given) != list(range(top + 1)):
         raise InvalidModelError("initial values must cover a contiguous range 0..j")
 
-    tag = route.tag if route else classify(model)
+    tag = own.tag if own else classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
         raise InvalidModelError("survival values with no net profit come from no_net_profit_values")
     min_atom = tag.min_s_atom
@@ -559,18 +550,18 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
         raise InvalidModelError(f"need initial values up to index {need}")
 
     # int / int is correctly rounded
-    if route and route.seqs and len(route.seqs[0]) > u_max:
+    if own and own.seqs and len(own.seqs[0]) > u_max:
         scale = 1 << 2 * initials.precision_bits
-        cols = zip(*(seq[: u_max + 1] for seq in route.seqs))
-        return np.array([sum(map(mul, route.weights, col)) / scale for col in cols])
+        cols = zip(*(seq[: u_max + 1] for seq in own.seqs))
+        return np.array([sum(map(mul, own.weights, col)) / scale for col in cols])
     bits = _budget(model, tag, u_max)
-    if isinstance(initials, InitialValues):
+    if solved:
         bits = max(bits, initials.precision_bits)
     if route:
         phi = [v << (bits - initials.precision_bits) for v in route.head[: u_max + 1]]
     else:
         phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
-    _forward(route.atoms if route else _Atoms(model), min_atom, phi, u_max)
+    _forward(own.atoms if own else _Atoms(model), min_atom, phi, u_max)
     scale = 1 << bits
     return np.array([v / scale for v in phi])
 
@@ -791,7 +782,7 @@ class UltimateResult:
     margin: float
     n_solve: int
     precision_bits: int | None
-    determinant: mp.mpf | None
+    determinant: Fraction | None
     residual_master: float
     residual_constraint: float
     lundberg_r: float | None

@@ -2,6 +2,9 @@
 
 import functools
 import io
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
 from dataclasses import replace
 from unittest import mock
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 
 from ruinwalk import ModelSpec, from_probs, survival_ultimate
 from ruinwalk import cli
-from ruinwalk.cli import main
+from ruinwalk.cli import _fmt_det, main
 
 
 def run(capsys, *argv):
@@ -333,6 +336,42 @@ def test_diagnostics_past_float_range(capsys):
     assert out.splitlines()[101] == "100,-5.070602e+3060"
     assert ("# violation n=100: chain start breached: expected det M_100 >= 1, "
             "got -5.0706024e+3060") in out
+
+
+# (num, scale, rounded, raw): the determinant num / 2^scale as the CLI
+# printed it when determinants were mpf, inside and outside float64's range
+FMT_DET_PINS = [
+    (0, 0, "0.000000e+00", "0.0"),
+    (-123456789012345678901, 30, "-1.149781e+11", "-114978094596.7377"),
+    (5, 3, "6.250000e-01", "0.625"),
+    (1, 1400, "3.614149e-422", "3.6141491434385841e-422"),
+    (-1, 1400, "-3.614149e-422", "-3.6141491434385841e-422"),
+    (7**5100, 10, "9.765717e+4306", "9.7657165801262623e+4306"),
+    (-(7**5100) - 1, 10, "-9.765717e+4306", "-9.7657165801262623e+4306"),
+    (999999995 * 10**400, 0, "1.000000e+409", "9.99999995e+408"),
+    (10**320, 0, "1.000000e+320", "1.0e+320"),
+]
+
+
+@pytest.mark.parametrize("num, scale, rounded, raw", FMT_DET_PINS,
+                         ids=[f"{i}:{raw}" for i, (*_, raw) in enumerate(FMT_DET_PINS)])
+def test_fmt_det_pins(num, scale, rounded, raw):
+    assert _fmt_det(num, 1 << scale, raw=False) == rounded
+    assert _fmt_det(num, 1 << scale, raw=True) == raw
+
+
+@pytest.mark.parametrize("spec", ["dpois:1,10000001", "dpois:2e7,0"])
+def test_oversized_dpois_support_exits_2_at_once(capsys, spec):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--x", spec, "--y", "dpois:2,0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and "support too long" in err
+
+
+def test_cli_imports_without_mpmath():
+    code = "import sys, ruinwalk.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_verify_paper_table1(capsys):

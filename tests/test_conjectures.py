@@ -5,10 +5,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from mpmath import mp
 
 from ruinwalk import InvalidModelError, classify, solve_initials
 from ruinwalk.conjectures import (
+    _nstr,
     _suspicious,
     coefficient_chain,
     determinant_trace,
@@ -51,7 +51,7 @@ def test_trace_matches_dense_determinant_oracle(ex1, ex2):
         cols = _exact_sequences(model, 13)[:-1]
         for n in range(11):
             want = _leibniz_det(_difference_rows(cols, n, len(cols)))
-            assert float(trace.values[n]) == pytest.approx(float(want), rel=1e-12), f"n={n}"
+            assert Fraction(trace.numerators[n], 1 << trace.scale) == want, f"n={n}"
 
 
 def test_trace_sees_the_solve_matrix(ex1, ex2):
@@ -61,8 +61,8 @@ def test_trace_sees_the_solve_matrix(ex1, ex2):
         trace = determinant_trace(model, which=which, n_max=60)
         for n in (8, 21, 40, 60):
             det = solve_initials(model, n_solve=n).determinant
-            with mp.workprec(2 * trace.precision_bits):
-                assert abs(trace.values[n] - det) <= mp.ldexp(abs(det), -200), (which, n)
+            got = Fraction(trace.numerators[n], 1 << trace.scale)
+            assert abs(got - det) <= abs(det) / (1 << 200), (which, n)
 
 
 def test_suspicious_flags_cancellation():
@@ -105,7 +105,7 @@ def test_trace_records_sign_convention_without_failing(ex1):
     # the 3x3 chain's printed signs do not match the computed row order:
     # the trace must report that as violations, not raise or mask it
     trace = determinant_trace(ex1, which=1, n_max=20)
-    assert trace.values[0] < 0  # sign recorded as found
+    assert trace.numerators[0] < 0  # sign recorded as found
     assert trace.violations  # breaches listed
     assert all(isinstance(n, int) and isinstance(msg, str) for n, msg in trace.violations)
 
@@ -113,8 +113,8 @@ def test_trace_records_sign_convention_without_failing(ex1):
 def test_trace_2_chain_holds(ex2):
     trace = determinant_trace(ex2, which=2, n_max=40)
     assert trace.violations == []
-    assert trace.values[0] >= 1.0
-    assert np.all(np.diff(trace.values) >= 0)
+    assert trace.numerators[0] >= 1 << trace.scale
+    assert all(a <= b for a, b in zip(trace.numerators, trace.numerators[1:]))
 
 
 def test_chain_case_c_scenarios(ex3):
@@ -154,3 +154,33 @@ def test_probes_stop_at_the_solve_cap(ex1, ex3):
         determinant_trace(ex1, which=1, n_max=N_SOLVE_CAP + 1)
     with pytest.raises(InvalidModelError):
         coefficient_chain(ex3, n_max=N_SOLVE_CAP + 1)
+
+
+# (num, scale, text): the text mpmath 1.3.0's nstr(x, 8) printed for
+# x = num / 2^scale rounded once to 64 bits, which the chain-start
+# violations showed before they were built from integers
+NSTR_PINS = [
+    (15283210222470690338298, 90, "1.2345679e-5"),  # k = -5
+    (-15283210222470690338298, 90, "-1.2345679e-5"),
+    (152832102224706903382983, 90, "0.00012345679"),  # k = -4
+    (-1222656829050530184167972, 90, "-0.00098765432"),
+    (12945382598246, 20, "12345679.0"),  # k = 7
+    (123456789, 0, "1.2345679e+8"),  # k = 8
+    (-123456785, 0, "-1.2345679e+8"),  # half up at the ninth digit
+    (199999999, 1, "1.0e+8"),  # 99999999.5 carries to 10^8
+    ((199999999 << 37) - 1, 38, "1.0e+8"),  # a 64-bit tie, to even: 99999999.5
+    ((199999999 << 37) - 3, 38, "99999999.0"),  # the next tie, to even: below it
+    (1, 1, "0.5"),
+    (1, 0, "1.0"),
+    (1024, 0, "1024.0"),
+    (-3, 2, "-0.75"),
+    (7**5100, 10, "9.7657166e+4306"),  # past 10^4300
+    (-(7**5100) - 1, 10, "-9.7657166e+4306"),
+    (3, 20000, "7.5371642e-6021"),
+]
+
+
+@pytest.mark.parametrize("num, scale, text", NSTR_PINS,
+                         ids=[f"{i}:{text}" for i, (_, _, text) in enumerate(NSTR_PINS)])
+def test_chain_start_text_pins(num, scale, text):
+    assert _nstr(num, scale) == text

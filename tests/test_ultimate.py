@@ -1,6 +1,8 @@
 """Unit tests for the infinite-horizon solver and its cross-checks."""
 
 import math
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ from ruinwalk import ultimate
 from ruinwalk.model import INCOME_PER_PAIR, PREMIUM_PER_PERIOD, CaseKind
 from ruinwalk.pmf import parse_pmf_spec
 from ruinwalk.reference_tables import ALL_TABLES
-from ruinwalk.ultimate import InitialValues, _free_indices, _lundberg_tail
+from ruinwalk.ultimate import _free_indices, _lundberg_tail
 from conftest import random_case_model, random_model
 
 
@@ -393,9 +395,9 @@ def _within_an_ulp(a, b):
 
 
 def _recurrence_only(init):
-    """The same solve without what it built: ``extend_ultimate`` recurses."""
-    return InitialValues(values=init.values, n_solve=init.n_solve, determinant=init.determinant,
-                         precision_bits=init.precision_bits, values_mp=init.values_mp)
+    """The same solve without its sequences: ``extend_ultimate`` recurses
+    from its integer phi(0..j)."""
+    return replace(init, _route=replace(init._route, seqs=None, weights=None))
 
 
 def _counting_forward(monkeypatch):
@@ -450,7 +452,7 @@ def test_extend_recurs_without_the_solved_sequences(monkeypatch, ex1, ex3):
         past = extend_ultimate(m, init, u_max=24)
         assert len(calls) == 2
         assert np.array_equal(past, extend_ultimate(m, _recurrence_only(init), u_max=24))
-        plain = extend_ultimate(m, dict(init.values_mp), u_max=23)
+        plain = extend_ultimate(m, dict(init.values), u_max=23)
         assert len(calls) == 4
         assert np.array_equal(plain[: len(init.values)], list(init.values.values()))
         twin = ModelSpec(x=m.x, y=m.y)
@@ -665,3 +667,22 @@ def test_u_max_zero(ex3):
     assert r.phi[0] == pytest.approx(0.0485, abs=5e-4)
     with pytest.raises(InvalidModelError):
         survival_ultimate(ex3, u_max=-1)
+
+
+@pytest.mark.parametrize("convert", [float, int, np.float64, Decimal, Fraction],
+                         ids=["float", "int", "float64", "Decimal", "Fraction"])
+def test_fixed_takes_every_exact_real(ex1, convert):
+    # initials of equal value give the same row whatever their type: 0 and
+    # 1 for int, dyadic values in between for the others
+    values = [0, 1, 1, 1] if convert is int else [0.5, 0.625, 0.75, 0.875]
+    want = extend_ultimate(ex1, dict(enumerate(map(float, values))), u_max=30)
+    got = extend_ultimate(ex1, {k: convert(v) for k, v in enumerate(values)}, u_max=30)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["none", "mpf"])
+def test_fixed_refuses_other_values(ex1, kind):
+    # an mpf is refused like any value Fraction cannot take exactly
+    value = pytest.importorskip("mpmath").mpf(0.875) if kind == "mpf" else None
+    with pytest.raises(InvalidModelError):
+        extend_ultimate(ex1, {0: 0.5, 1: 0.625, 2: 0.75, 3: value}, u_max=30)
