@@ -31,6 +31,8 @@ from .ultimate import survival_ultimate
 
 # the most places the default 28-digit decimal context can round 1.0 to
 MAX_DIGITS = 27
+# cell separator of each delimited table format
+_SEPARATORS = {"csv": ",", "tsv": "\t"}
 
 
 class _UsageError(Exception):
@@ -96,8 +98,8 @@ def _emit_table(header: list[str], rows, fmt: str) -> None:
     never quoted: no cell holds a comma, tab, quote or newline. Markdown
     needs every row first to size its columns."""
     out = sys.stdout
-    if fmt in ("csv", "tsv"):
-        sep = "," if fmt == "csv" else "\t"
+    sep = _SEPARATORS.get(fmt)
+    if sep is not None:
         out.write(sep.join(header) + "\n")
         out.writelines(sep.join(r) + "\n" for r in rows)
         return
@@ -229,18 +231,30 @@ def _cmd_finite(ns) -> int:
     model = _model_from(ns)
     grid = survival_finite(model, u_max=u_hi, t_max=t_hi)
     header = ["T\\u"] + [str(u) for u in range(u_lo, u_hi + 1)]
-    block = grid.values[u_lo:]
+    block = grid.rows[:, u_lo:]
+    # csv and tsv rows are cells joined by the separator, so a stored
+    # row's cells are joined once and each horizon puts its label in front
+    sep = _SEPARATORS.get(ns.format)
+
+    def formatted(row):
+        cells = list(map(cell, row.tolist()))
+        return cells if sep is None else [sep.join(cells)]
 
     def rows():
-        # a converged grid repeats its columns: format each distinct one
-        # once, matched by bytes so that -0.0 and NaN stay exact
-        last, cells = None, None
-        for t in range(t_lo, t_hi + 1):
-            column = block[:, t - 1]
-            key = column.tobytes()
-            if key != last:
-                last, cells = key, list(map(cell, column.tolist()))
-            yield [str(t), *cells]
+        # the last two rows formatted, newest first, as (row, bytes, cells):
+        # the grid's parity fill points a horizon at the row two horizons
+        # back, and a stored row near a fixed point can repeat the bytes of
+        # the one before it (bytes keep -0.0 and NaN exact)
+        new = old = (-1, b"", None)
+        for t, i in enumerate(grid.index[t_lo - 1 : t_hi].tolist(), t_lo):
+            if i == old[0]:
+                new, old = old, new
+            elif i != new[0]:
+                key = block[i].tobytes()
+                match = new if key == new[1] else old if key == old[1] else None
+                cells = formatted(block[i]) if match is None else match[2]
+                new, old = (i, key, cells), new
+            yield [str(t), *new[2]]
 
     _emit_table(header, rows(), ns.format)
     print(_note(f"error_bound: {grid.error_bound:.3e}", ns.format))

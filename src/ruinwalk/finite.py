@@ -26,10 +26,16 @@ Work stops at B's float64 fixed point, not at t_max. Every layer up to
 t_cap = t_max - ceil((w - u_max) / 2) spans the whole capped window, and
 B reads nothing but the layer two before. So once two consecutive such
 layers equal, bit for bit, the layers two before them, every later
-capped layer repeats them with period 2: those columns are filled by
-parity, and only the shrinking windows past t_cap are computed. Only a
-lossless model (no mass lost to truncation) can get there; a truncated
-one's far value shrinks every layer, so it never pays for the compare.
+capped layer repeats them with period 2, and only the shrinking windows
+past t_cap are computed. Only a lossless model (no mass lost to
+truncation) can get there; a truncated one's far value shrinks every
+layer, so it never pays for the compare. The grid stores each computed
+layer's cells u = 0..u_max once, as one row, and a horizon index maps
+horizon T to its row: the horizons the fixed point repeats are index
+entries pointing at the last two rows, written by parity. The row
+buffer is allocated for t_max rows but written only as far as rows are
+computed, and pages never written take no memory. The full
+(u_max + 1) x t_max array is built only when ``values`` is read.
 
 Two independent validators live here as well: a forward dynamic program
 over the surplus (shares nothing with the recursion above) and a Monte
@@ -53,6 +59,7 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,21 +92,32 @@ _MC_EXACT = np.iinfo(np.int64).min
 class SurvivalGrid:
     """phi(u, T) for u = 0..u_max, T = 1..t_max, plus the error bound.
 
+    Each computed layer is stored once, as a row of ``rows`` over
+    u = 0..u_max, and ``index`` maps horizon T to its row: horizon T is
+    ``rows[index[T - 1]]``. The horizons a fixed point repeats are index
+    entries, not copies. ``values`` builds the full grid on first use.
+
     ``error_bound`` dominates the probability that any claim in a horizon
     falls beyond the retained supports, t_max * (defect_x + defect_y),
     plus, when the Lundberg tail caps the window at w, t_max * C e^(-R w)
     for the cells filled above it (0 when R is inf: psi vanishes there).
     """
 
-    values: np.ndarray  # shape (u_max + 1, t_max); column T-1 is horizon T
+    rows: np.ndarray  # shape (layers stored, u_max + 1)
+    index: np.ndarray  # shape (t_max,); horizon T is rows[index[T - 1]]
     u_max: int
     t_max: int
     error_bound: float
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """shape (u_max + 1, t_max), C-contiguous; column T-1 is horizon T."""
+        return self.rows.T.take(self.index, axis=1)
+
     def value(self, u: int, t: int) -> float:
         if not (0 <= u <= self.u_max and 1 <= t <= self.t_max):
             raise InvalidModelError(f"(u={u}, t={t}) outside computed grid")
-        return float(self.values[u, t - 1])
+        return float(self.rows[self.index[t - 1], u])
 
 
 def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
@@ -113,9 +131,6 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
         r, c, u_star = _lundberg_tail(model)
         w = min(full, max(u_max, u_star) + model.s.support_max)
 
-    def width(t):
-        return min(u_max + 2 * (t_max - t), w)
-
     x = model.x
     retained = 1.0 - model.s.mass_defect
     # the last horizon whose layer spans the whole capped window
@@ -123,34 +138,41 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     # only a lossless far value stays put, so only then can layers repeat
     lossless = model.s.mass_defect == 0
     forcing = _forcing(model, w + 1)
-    grid = np.empty((u_max + 1, t_max))
+    # one row per computed layer; the pages of rows never written are
+    # never touched, so a grid that stops early costs only what it fills
+    rows = np.empty((t_max, u_max + 1))
+    index = np.empty(t_max, dtype=np.min_scalar_type(t_max - 1))
     # horizons T - 2 and T - 1 while sweeping; each holds u = 0..w + 4,
-    # computed up to width(t) and filled with the layer's far value above
+    # computed over the layer's width n and filled with its far value above
     older = np.ones(w + 5)
     # X(1..w+5), frozen at the retained total beyond the support
     newer = x._cdf[np.minimum(np.arange(1, w + 6), x.support_max)]
     spare = np.empty(w + 5)
-    grid[:, 0] = newer[: u_max + 1]
+    rows[0] = newer[: u_max + 1]
+    index[0] = 0
+    stored = 1
     repeats = 0  # consecutive capped layers equal to the layer two before
     t = 2
     while t <= t_max:
-        n = width(t) + 1
+        n = min(u_max + 2 * (t_max - t), w) + 1  # the layer's width
         layer, spare = spare, older
         # far out B maps a constant to itself times the retained mass of s.
         # older[-1] is a far value whenever the fill is read: a capped w
         # passes the support of s, hence of x
         layer[n:] = older[-1] * retained
         layer[:n] = _balance(model, older, n, forcing)
-        grid[:, t - 1] = layer[: u_max + 1]
+        rows[stored] = layer[: u_max + 1]
+        index[t - 1] = stored
+        stored += 1
         if lossless and t <= t_cap:
-            same = np.array_equal(layer.view(np.int64), older.view(np.int64))
-            repeats = repeats + 1 if same else 0
+            repeats = repeats + 1 if layer.tobytes() == older.tobytes() else 0
         older, newer = newer, layer
         if repeats == 2 and t < t_cap:
             # B reads only the layer two before, so both parities stay at
-            # their float64 fixed point through t_cap
-            grid[:, t + 1 : t_cap : 2] = newer[: u_max + 1, None]
-            grid[:, t : t_cap : 2] = older[: u_max + 1, None]
+            # their float64 fixed point through t_cap: horizons t + 2,
+            # t + 4, ... reuse horizon t's row, t + 1, t + 3, ... t - 1's
+            index[t + 1 : t_cap : 2] = index[t - 1]
+            index[t : t_cap : 2] = index[t - 2]
             if (t_cap - t) % 2:
                 older, newer = newer, older
             t = t_cap
@@ -159,7 +181,8 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     bound = t_max * (model.x.mass_defect + model.y.mass_defect)
     if w < full and r < math.inf:
         bound += t_max * c * math.exp(-r * w)
-    return SurvivalGrid(values=grid, u_max=u_max, t_max=t_max, error_bound=bound)
+    return SurvivalGrid(rows=rows[:stored], index=index, u_max=u_max, t_max=t_max,
+                        error_bound=bound)
 
 
 # ---- independent validators ----

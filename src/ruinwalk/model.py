@@ -97,7 +97,15 @@ def _balance(model: ModelSpec, v: np.ndarray, n: int, forcing=None) -> np.ndarra
     so the x.y columns are built once.
     """
     c1, c2 = _forcing(model, n) if forcing is None else forcing
-    return np.convolve(v[1 : n + 4], model.s.probs)[3 : n + 3] - c1[:n] * v[1] - c2[:n] * v[2]
+    a, s = v[1 : n + 4], model.s.probs
+    # np.convolve(a, s) is np.correlate(a, s[::-1], "full") when a is at
+    # least as long as s, bit for bit, without convolve's wrapper cost;
+    # with a shorter a, correlate swaps the two and sums in another order
+    full = np.correlate(a, s[::-1], "full") if len(a) >= len(s) else np.convolve(a, s)
+    out = full[3 : n + 3]
+    out -= c1[:n] * v[1]
+    out -= c2[:n] * v[2]
+    return out
 
 
 def net_profit_margin(model: ModelSpec) -> float:

@@ -98,8 +98,10 @@ def from_probs(values, tail_mean_bound=None) -> Pmf:
     """Build a Pmf from an explicit atom list that must sum to 1.
 
     The list is taken as the complete distribution; a residual up to
-    EXPLICIT_SUM_TOL is tolerated. A shortfall is recorded as mass_defect;
-    an excess beyond what a Pmf accepts scales the atoms down to sum to 1.
+    EXPLICIT_SUM_TOL is tolerated. A shortfall is recorded as mass_defect,
+    unless it is no more than the rounding of n atoms, n 2^-53 (and what a
+    Pmf accepts); an excess beyond what a Pmf accepts scales the atoms down
+    to sum to 1. Either way atoms the Pmf accepts are kept bit for bit.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
@@ -115,6 +117,10 @@ def from_probs(values, tail_mean_bound=None) -> Pmf:
         arr = arr / total
         total = math.fsum(arr)
     defect = max(0.0, 1.0 - total)
+    if defect <= min(len(arr) * 2.0**-53, PMF_SUM_TOL):
+        # weights normalized in float64 can fall short of 1 by the rounding
+        # of their n atoms alone; that is no lost mass
+        defect = 0.0
     if tail_mean_bound is None:
         tail_mean_bound = defect * (len(arr) - 1)
     return Pmf(arr, defect, tail_mean_bound)

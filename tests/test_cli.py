@@ -125,7 +125,7 @@ def test_raw_roundtrip(capsys):
 
 @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
 def test_finite_raw_cells_are_repr(capsys, fmt, sep):
-    # rows stream from the grid's columns; every cell is repr of its value
+    # rows stream from the grid's stored rows; every cell is repr of its value
     from ruinwalk import ModelSpec, make_displaced_poisson, survival_finite
 
     code, out, _ = run(capsys, "finite", "--x", "dpois:1,0", "--y", "dpois:2,0",
@@ -140,21 +140,68 @@ def test_finite_raw_cells_are_repr(capsys, fmt, sep):
     assert lines[1:-1] == want
     assert lines[-1].startswith("# error_bound:")
 
-    # a lossless grid at its fixed point repeats its rows; a repeated row
-    # reuses the cells formatted for the row before, raw or rounded
+    # a lossless grid at its fixed point repeats its rows: horizons past it
+    # are index entries, and each stored row is formatted once, raw or
+    # rounded. Every span prints the cells of the full grid's columns,
+    # wherever it starts: at 1, inside the parity fill or past t_cap, and
+    # with u_lo > 0. The second model's parities settle on different
+    # float64 fixed points.
     from ruinwalk import parse_pmf_spec
     from ruinwalk.cli import _fmt_prob
 
-    m = ModelSpec(x=parse_pmf_spec("pmf:0.5,0,0.5"), y=parse_pmf_spec("pmf:0.25,0.5,0.25"))
-    g = survival_finite(m, u_max=9, t_max=400)
-    assert len({g.values[:, t].tobytes() for t in range(400)}) < 400
-    for flags, fmt_cell in ((["--raw"], repr), (["--digits", "6"], lambda v: _fmt_prob(v, 6))):
-        code, out, _ = run(capsys, "finite", "--x", "pmf:0.5,0,0.5", "--y", "pmf:0.25,0.5,0.25",
-                           "--u", "0..9", "--t", "1..400", "--format", fmt, *flags)
-        assert code == 0
-        want = [sep.join([str(t)] + [fmt_cell(float(g.values[u, t - 1])) for u in range(10)])
-                for t in range(1, 401)]
-        assert out.splitlines()[1:-1] == want, flags
+    models = [("pmf:0.5,0,0.5", "pmf:0.25,0.5,0.25"),
+              ("pmf:0.26953125,0.3232421875,0.2109375,0.1962890625",
+               "pmf:0.08203125,0.451171875,0.1767578125,0.2900390625")]
+    for x, y in models:
+        m = ModelSpec(x=parse_pmf_spec(x), y=parse_pmf_spec(y))
+        g = survival_finite(m, u_max=9, t_max=400)
+        assert len({g.values[:, t].tobytes() for t in range(400)}) < 400
+        assert len(g.rows) < 400 and g.values.flags.c_contiguous
+        index = g.index.tolist()
+        # the parity fill: horizons that reuse the row of horizon T - 2,
+        # up to t_cap; the shrinking windows past it are computed again
+        fill = [t for t in range(3, 401) if index[t - 1] == index[t - 3]]
+        assert fill and fill[-1] < 400
+        spans = [(0, 1), (4, 1), (0, fill[len(fill) // 2]), (0, fill[-1] + 1)]
+        for u_lo, t_lo in spans:
+            for flags, fmt_cell in ((["--raw"], repr), (["--digits", "6"], lambda v: _fmt_prob(v, 6))):
+                code, out, _ = run(capsys, "finite", "--x", x, "--y", y, "--u", f"{u_lo}..9",
+                                   "--t", f"{t_lo}..400", "--format", fmt, *flags)
+                assert code == 0
+                want = [sep.join([str(t)] + [fmt_cell(float(g.values[u, t - 1]))
+                                             for u in range(u_lo, 10)])
+                        for t in range(t_lo, 401)]
+                assert out.splitlines()[1:-1] == want, (x, u_lo, t_lo, flags)
+
+
+# Peak RSS of a fresh process that imports the CLI, then runs argv if any:
+# VmHWM, the high-water mark of the process's own memory since exec. Its
+# ru_maxrss would also count the memory of the process that spawned it.
+_RSS_CHILD = """
+import sys
+import ruinwalk.cli
+if len(sys.argv) > 1 and ruinwalk.cli.main(sys.argv[1:]):
+    sys.exit("nonzero exit")
+with open("/proc/self/status") as status:
+    sys.stderr.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def _peak_rss_kib(*argv):
+    child = subprocess.run([sys.executable, "-c", _RSS_CHILD, *argv], stdout=subprocess.DEVNULL,
+                           stderr=subprocess.PIPE, text=True, check=True, timeout=120)
+    return int(child.stderr)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_long_lossless_grid_streams_in_flat_memory():
+    # the grid past its fixed point is index entries, not copies of its
+    # rows, so 4 * 10^5 horizons cost a few MB over the import, not the
+    # 100 MB of a full (u_max + 1) x t_max array
+    argv = ("finite", "--x", "pmf:0.5,0,0.5", "--y", "pmf:0.25,0.5,0.25",
+            "--u", "0..30", "--t", "1..400000", "--raw", "--format", "csv")
+    base = _peak_rss_kib()
+    assert 10 * 1024 < base and _peak_rss_kib(*argv) - base < 20 * 1024
 
 
 def test_csv_cells_need_no_quoting(capsys):

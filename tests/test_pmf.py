@@ -48,6 +48,22 @@ def test_from_probs_sum_tolerance():
         assert from_probs(atoms).probs.tolist() == atoms
 
 
+def test_from_probs_rounding_shortfall_is_no_defect():
+    # weights normalized in float64 can sum to 1 - 2^-53: no mass is lost
+    ws = [0.0, 0.06546478369390864, 0.3333333333333333, 0.06546478369390864]
+    atoms = [w / math.fsum(ws) for w in ws]
+    assert math.fsum(atoms) == 1.0 - 2.0**-53
+    p = from_probs(atoms)
+    assert p.mass_defect == 0.0 and p.tail_mean_bound == 0.0
+    assert p.probs.tolist() == atoms
+    assert from_probs([0.5, 0.5 - 2.0**-52]).mass_defect == 0.0  # n 2^-53 for n = 2
+    # a shortfall past n 2^-53 is lost mass, booked as before
+    for atoms in ([0.5, 0.4999999999], [0.5, 0.5 - 2.0**-51]):
+        p = from_probs(atoms)
+        assert p.mass_defect == 1.0 - math.fsum(atoms) > 0
+        assert p.probs.tolist() == atoms
+
+
 def test_from_probs_rejects_negative_and_empty():
     with pytest.raises(InvalidModelError):
         from_probs([1.1, -0.1])

@@ -67,6 +67,8 @@ def test_pmf_spec_roundtrip(ws):
 @example([5e-324, 0, 1], [0, 1, 1])
 @example([1, 1], [0, 5e-324, 1])
 @example([0, 1, 1], [0, 5e-324, 1])
+# y's normalized weights sum to 1 - 2^-53: a rounding, not a lost mass
+@example([0.0, 0.0, 1.0], [0.0, 0.06546478369390864, 0.3333333333333333, 0.06546478369390864])
 def test_classification_partitions(wa, wb):
     m = ModelSpec(x=from_probs(_normalize(wa)), y=from_probs(_normalize(wb)))
     tag = classify(m)
