@@ -24,7 +24,7 @@ import numpy as np
 from .conjectures import _round_sig, determinant_trace
 from .errors import InvalidModelError, NumericalError, PrecisionError
 from .finite import mc_estimate, survival_finite
-from .model import CaseKind, ModelSpec, classify, net_profit_margin
+from .model import ModelSpec, classify, net_profit_margin
 from .pmf import parse_pmf_spec
 from .reference_tables import ALL_TABLES, verify_table
 from .ultimate import survival_ultimate
@@ -120,11 +120,7 @@ def _note(text: str, fmt: str) -> str:
 
 
 def _case_str(tag) -> str:
-    if tag.kind == CaseKind.NO_NET_PROFIT:
-        base = "no-net-profit"
-    else:
-        base = tag.kind.name
-    return f"{base} {tag.scenario}" if tag.scenario else base
+    return f"{tag.kind.value} {tag.scenario}" if tag.scenario else tag.kind.value
 
 
 # ---- argument plumbing ----

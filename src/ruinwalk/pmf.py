@@ -31,6 +31,13 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _shortfall(total: float, n: int) -> float:
+    """1 - total, the mass n atoms summing to ``total`` lack, or 0 within
+    their own float64 rounding, n 2^-53 (and what a Pmf accepts)."""
+    defect = max(0.0, 1.0 - total)
+    return 0.0 if defect <= min(n * 2.0**-53, PMF_SUM_TOL) else defect
+
+
 @dataclass(frozen=True)
 class Pmf:
     """An integer claim-size distribution truncated at ``support_max``.
@@ -94,14 +101,14 @@ class Pmf:
 # ---- constructors ----
 
 
-def from_probs(values, tail_mean_bound=None) -> Pmf:
+def from_probs(values) -> Pmf:
     """Build a Pmf from an explicit atom list that must sum to 1.
 
     The list is taken as the complete distribution; a residual up to
     EXPLICIT_SUM_TOL is tolerated. A shortfall is recorded as mass_defect,
-    unless it is no more than the rounding of n atoms, n 2^-53 (and what a
-    Pmf accepts); an excess beyond what a Pmf accepts scales the atoms down
-    to sum to 1. Either way atoms the Pmf accepts are kept bit for bit.
+    unless it is no more than the atoms' own rounding (``_shortfall``); an
+    excess beyond what a Pmf accepts scales the atoms down to sum to 1.
+    Either way atoms the Pmf accepts are kept bit for bit.
     """
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
@@ -116,14 +123,8 @@ def from_probs(values, tail_mean_bound=None) -> Pmf:
     if total - 1.0 > PMF_SUM_TOL:
         arr = arr / total
         total = math.fsum(arr)
-    defect = max(0.0, 1.0 - total)
-    if defect <= min(len(arr) * 2.0**-53, PMF_SUM_TOL):
-        # weights normalized in float64 can fall short of 1 by the rounding
-        # of their n atoms alone; that is no lost mass
-        defect = 0.0
-    if tail_mean_bound is None:
-        tail_mean_bound = defect * (len(arr) - 1)
-    return Pmf(arr, defect, tail_mean_bound)
+    defect = _shortfall(total, len(arr))
+    return Pmf(arr, defect, defect * (len(arr) - 1))
 
 
 def point_mass(value: int) -> Pmf:
@@ -200,11 +201,13 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
     """Distribution of the independent sum, on the truncated supports.
 
     All retained cross terms survive (support_max adds), so the result's
-    defect comes only from the inputs' defects.
+    defect comes only from the inputs' defects: of two inputs without one,
+    the products' own rounding is no lost mass (``_shortfall``).
     """
     probs = np.convolve(a.probs, b.probs)
     np.clip(probs, 0.0, None, out=probs)
-    defect = max(0.0, 1.0 - math.fsum(probs))
+    total = math.fsum(probs)
+    defect = max(0.0, 1.0 - total) if a.mass_defect or b.mass_defect else _shortfall(total, len(probs))
     # E[A+B] - retained mean = (tail of A) + (tail of B) + cross defect terms.
     bound = (
         a.tail_mean_bound

@@ -256,10 +256,10 @@ def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
     recurrence is linear and homogeneous, so F never enters it, and the
     same loop extends phi itself and each coefficient sequence of its
     representation. Each step forms its numerator exactly over a power of
-    two (the s tail over 2^es, the x.y coefficients of phi(1) and phi(2)
-    over their own power, so one tiny x or y atom widens only the steps
-    that read it) and divides once by the scaled pivot s_{m*}: the floor
-    of that division is the step's only rounding.
+    two (the s tail over 2^es; the first len(x) + 2 - m* steps also read
+    the x.y coefficients of phi(1) and phi(2), over 2^(es + k)) and
+    divides once by the pivot s_{m*} at that scale: the floor of that
+    division is the step's only rounding.
     """
     m = min_atom
     s, es = at.s, at.es
@@ -270,20 +270,14 @@ def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
     def x(i):
         return at.x[i] if 0 <= i < len(at.x) else 0
 
-    # step u's x.y coefficients as (c1, c2, k): c1 / 2^(es + k) is
-    # x_{u+m*-1} y_0 + x_{u+m*-2} y_1 and c2 / 2^(es + k) is x_{u+m*-2} y_0;
-    # they vanish once u + m* - 2 passes the support of x
-    forcing = []
-    ez = at.ex + at.ey
-    for u in range(len(at.x) + 2 - m):
-        c1 = x(u + m - 1) * y0 + x(u + m - 2) * y1
-        c2 = x(u + m - 2) * y0
-        both = c1 | c2
-        # the pair's exponent once their common trailing zero bits are gone
-        e = ez - min(ez, (both & -both).bit_length() - 1) if both else 0
-        k = max(0, e - es)
-        d = es + k - ez  # exact either way: c1 and c2 end in ez - e zero bits
-        forcing.append((c1 << d, c2 << d, k) if d >= 0 else (c1 >> -d, c2 >> -d, k))
+    # step u's x.y coefficients as (c1, c2): c1 / 2^(es + k) is
+    # x_{u+m*-1} y_0 + x_{u+m*-2} y_1 and c2 / 2^(es + k) is x_{u+m*-2} y_0,
+    # k = max(0, ex + ey - es) the one exponent these steps add; they
+    # vanish once u + m* - 2 passes the support of x
+    k = max(0, at.ex + at.ey - es)
+    d = es + k - at.ex - at.ey
+    forcing = [((x(u + m - 1) * y0 + x(u + m - 2) * y1) << d, (x(u + m - 2) * y0) << d)
+               for u in range(len(at.x) + 2 - m)]
 
     # from u0 on no step has an x.y term, and each reads the full window
     # s_{smax}..s_{m*+1} against phi(u - width..u-1)
@@ -291,10 +285,10 @@ def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
     u0 = max(len(forcing), width + 1)
     for u in range(len(phi), min(stop, u0 - 1) + 1):
         lo = max(1, u - width)
-        # s_rev[smax - u - m* + k] = s_{u+m*-k} for k = lo..u-1
+        # s_rev[smax - u - m* + i] = s_{u+m*-i} for i = lo..u-1
         tail = sum(map(mul, s_rev[smax - u - m + lo : width], phi[lo:u]))
         if u < len(forcing):
-            c1, c2, k = forcing[u]
+            c1, c2 = forcing[u]
             if u == 2 and c2:
                 # scenarios that extend from u = 2 all have y_0 = 0
                 raise NumericalError("phi(2) required as an initial value for this model")
@@ -371,11 +365,11 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[
 
 @dataclass(frozen=True)
 class _Route:
-    """What a solve built, kept for the extension of the same model: its
-    case tag, exact atoms and the solved phi(0..j) floored at 2^bits, and
-    in cases A-C the integer sequences of ``_sequences`` (same scale) with
-    the solved weights, the free values and then the margin, each floored
-    at that scale."""
+    """What a solve built: the model it solved, its case tag, exact atoms
+    and the solved phi(0..j) floored at 2^bits, and in cases A-C the
+    integer sequences of ``_sequences`` (same scale) with the solved
+    weights, the free values and then the margin, each floored at that
+    scale."""
 
     model: ModelSpec
     tag: CaseTag
@@ -393,9 +387,9 @@ class InitialValues:
     2^-precision_bits, correctly rounded to float64, and ``determinant``
     is the integer det M_n over its 2^(dim precision_bits), exactly. A
     solve also carries what it built (``_route``, private):
-    ``extend_ultimate`` starts from its integer phi(0..j), and in cases
-    A-C reads phi(u) = sum_i F_i c_i(u) + M d(u) off the solve's sequences
-    as far as they reach.
+    ``extend_ultimate`` recurses from its integer phi(0..j), and
+    ``survival_ultimate`` reads its row off the sequences of cases A-C.
+    Built by hand, without a ``_route``, it extends like its ``values``.
     """
 
     values: dict[int, float]
@@ -520,27 +514,23 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     geometrically; they are emitted as float64, each correctly rounded
     from its scaled integer.
 
-    The values of a case A-C solve of this model come without a second
-    recurrence while the solve's coefficient sequences reach u_max, as
-    they always do on the ``survival_ultimate`` route: phi(u) = sum_i F_i
-    c_i(u) + M d(u), the solved free values F_i and the margin M floored
-    at 2^bits, is formed exactly at 2^(2 bits) and rounded once. Plain
-    dict initials, case D, another model object and a u_max past an
-    explicit ``n_solve``'s sequences run the recurrence: a solve's from its
-    integer phi(0..j), given values from their floors at 2^-bits.
+    A solve's ``InitialValues`` start from its integer phi(0..j), with the
+    solve's case tag and exact atoms; a model whose x or y atoms differ
+    from the solved model's is refused. Given values (a dict, or
+    ``InitialValues`` built by hand) start from their floors at 2^-bits.
     """
-    solved = isinstance(initials, InitialValues)
-    given = initials.values if solved else initials
-    route = initials._route if solved else None
-    # the solve's tag, atoms and sequences serve only the model object it solved
-    own = route if route and route.model is model else None
     if u_max < 0:
         raise InvalidModelError("u_max must be >= 0")
+    route = initials._route if isinstance(initials, InitialValues) else None
+    given = initials.values if isinstance(initials, InitialValues) else initials
     top = max(given)
     if sorted(given) != list(range(top + 1)):
         raise InvalidModelError("initial values must cover a contiguous range 0..j")
+    if route and not (np.array_equal(route.model.x.probs, model.x.probs)
+                      and np.array_equal(route.model.y.probs, model.y.probs)):
+        raise InvalidModelError("initial values were solved for a model with other atoms")
 
-    tag = own.tag if own else classify(model)
+    tag = route.tag if route else classify(model)
     if tag.kind == CaseKind.NO_NET_PROFIT:
         raise InvalidModelError("survival values with no net profit come from no_net_profit_values")
     min_atom = tag.min_s_atom
@@ -549,21 +539,15 @@ def extend_ultimate(model: ModelSpec, initials: InitialValues | dict, u_max: int
     if top < need:
         raise InvalidModelError(f"need initial values up to index {need}")
 
-    # int / int is correctly rounded
-    if own and own.seqs and len(own.seqs[0]) > u_max:
-        scale = 1 << 2 * initials.precision_bits
-        cols = zip(*(seq[: u_max + 1] for seq in own.seqs))
-        return np.array([sum(map(mul, own.weights, col)) / scale for col in cols])
     bits = _budget(model, tag, u_max)
-    if solved:
-        bits = max(bits, initials.precision_bits)
     if route:
+        bits = max(bits, initials.precision_bits)
         phi = [v << (bits - initials.precision_bits) for v in route.head[: u_max + 1]]
     else:
         phi = [_fixed(given[i], bits) for i in range(min(top, u_max) + 1)]
-    _forward(own.atoms if own else _Atoms(model), min_atom, phi, u_max)
+    _forward(route.atoms if route else _Atoms(model), min_atom, phi, u_max)
     scale = 1 << bits
-    return np.array([v / scale for v in phi])
+    return np.array([v / scale for v in phi])  # int / int is correctly rounded
 
 
 # ---- residual checks, oracles, collapsed values ----
@@ -798,10 +782,12 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
     unit mode, phi(reach) + (mass_defect / margin)(u - reach), flat for
     exact atoms. It solves at the index ``_solve_index`` derives for
     reach, so the precision and the solve index do not grow with u_max.
-    That index is at least reach + 8, so in cases A-C ``extend_ultimate``
-    reads phi(0..reach) off the solve's own sequences, and only case D
-    runs the recurrence. The model is classified and its atoms made exact
-    once per call. ``residuals`` checks the whole row.
+    That index is at least reach + 8, so in cases A-C phi(0..reach) is
+    read off the solve's sequences: sum_i F_i c_i(u) + M d(u), the free
+    values F_i and the margin M floored at 2^bits, formed exactly at
+    2^(2 bits) and rounded once. Only case D runs ``extend_ultimate``. The
+    model is classified and its atoms made exact once per call.
+    ``residuals`` checks the whole row.
     """
     if u_max < 0:
         raise InvalidModelError("u_max must be >= 0")
@@ -818,7 +804,13 @@ def survival_ultimate(model: ModelSpec, u_max: int) -> UltimateResult:
         reach = min(work_len, u_star + 8)
         init = solve_initials(model, tag, None if tag.kind == CaseKind.D
                               else _solve_index(model, tag, tail, reach))
-        phi = extend_ultimate(model, init, reach)
+        route = init._route
+        if route.seqs:
+            scale = 1 << 2 * init.precision_bits  # int / int is correctly rounded
+            cols = zip(*(seq[: reach + 1] for seq in route.seqs))
+            phi = np.array([sum(map(mul, route.weights, col)) / scale for col in cols])
+        else:
+            phi = extend_ultimate(model, init, reach)
         if reach < work_len:
             slope = model.s.mass_defect / net_profit_margin(model)
             phi = np.concatenate([phi, phi[reach] + slope * np.arange(1, work_len - reach + 1)])

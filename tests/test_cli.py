@@ -299,6 +299,24 @@ def test_classify_output(capsys):
     assert code == 0
     assert "case: D v.1" in out
     assert "min_s_atom: 3" in out
+    # two claims of 2 use up the income of a pair: no net profit, no scenario
+    code, out, _ = run(capsys, "classify", "--x", "pmf:0,0,1", "--y", "pmf:0,0,1")
+    assert code == 0
+    assert out.splitlines()[:2] == ["case: no-net-profit", "scenario: -"]
+
+
+@pytest.mark.parametrize("flag, span, message", [
+    ("--u", "a..3", "--u expects 'a..b' or a single integer, got 'a..3'"),
+    ("--u", "-1..3", "--u values must be >= 0"),
+    ("--t", "1.5", "--t expects 'a..b' or a single integer, got '1.5'"),
+    ("--t", "0..4", "--t values must be >= 1"),
+])
+def test_bad_spans_exit_2(capsys, flag, span, message):
+    spans = {"--u": "0..3", "--t": "1..4", flag: span}
+    # --u=-1..3: argparse would take a bare -1..3 for a flag
+    code, out, err = run(capsys, "finite", "--x", "dpois:1,0", "--y", "dpois:2,0",
+                         *(f"{k}={v}" for k, v in spans.items()))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_simulate_deterministic(capsys):

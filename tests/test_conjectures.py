@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from ruinwalk import InvalidModelError, classify, solve_initials
+from ruinwalk import InvalidModelError, classify, conjectures, solve_initials
+from ruinwalk.cli import main
 from ruinwalk.conjectures import (
     _nstr,
     _suspicious,
@@ -140,6 +141,65 @@ def test_chain_interlacing_values():
         assert 1 <= c[n] <= c[n + 2]
     for n in range(2, 18, 2):
         assert c[n] <= -1 and c[n] >= c[n + 2]
+
+
+def test_planted_zero_is_reported_not_certified(monkeypatch, capsys, ex2):
+    """A zero D_k is listed at k, breaks the chain into it, and leaves the
+    trace uncertified as a whole, in the library and in the CLI."""
+    rows = conjectures._difference_rows
+
+    def planted(cols, n, dim):
+        return [[0] * dim for _ in range(dim)] if n == 7 else rows(cols, n, dim)
+
+    monkeypatch.setattr(conjectures, "_difference_rows", planted)
+    trace = determinant_trace(ex2, which=2, n_max=12)
+    assert trace.zero_indices == [7] and trace.numerators[7] == 0
+    uncertified = f"some determinants could not be certified nonzero at {trace.precision_bits} bits"
+    assert trace.violations == [(7, "det M_7 = 0"), (7, "expected det M_6 <= det M_7"),
+                                (-1, uncertified)]
+    assert main(["conjecture", "--x", "dpois:1,1", "--y", "dpois:1.9,0",
+                 "--which", "2", "--n-max", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "zero_count: 1" in lines
+    assert lines[-3:] == ["violation n=7: det M_7 = 0", "violation n=7: expected det M_6 <= det M_7",
+                          f"violation global: {uncertified}"]
+
+
+def _plant_chain(monkeypatch, edit):
+    """Edit the free coefficient sequence ``coefficient_chain`` reads."""
+    sequences = conjectures._sequences
+
+    def planted(*args):
+        seqs, bits = sequences(*args)
+        edit(seqs[0], 1 << bits)
+        return seqs, bits
+
+    monkeypatch.setattr(conjectures, "_sequences", planted)
+
+
+def test_planted_chain_breaks_are_reported(monkeypatch, ex3):
+    def flat(c, one):
+        c[6] = c[5]
+
+    _plant_chain(monkeypatch, flat)
+    assert coefficient_chain(ex3, n_max=20).violations == [(5, "coefficient difference at n=5 vanished")]
+    s3 = random_case_model(np.random.default_rng(31), "C", "s.3")
+
+    def off_one(c, one):
+        c[1] = one + 1
+
+    def odd_drop(c, one):
+        c[7] = c[5] - 1
+
+    def even_rise(c, one):
+        c[6] = c[4] + 1
+
+    for edit, want in ((off_one, (1, "odd chain does not start at 1")),
+                       (odd_drop, (5, "odd chain breaks between n=5 and n=7")),
+                       (even_rise, (4, "even chain breaks between n=4 and n=6"))):
+        monkeypatch.undo()
+        _plant_chain(monkeypatch, edit)
+        assert coefficient_chain(s3, n_max=20).violations == [want], edit.__name__
 
 
 def test_chain_requires_case_c(ex1):

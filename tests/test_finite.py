@@ -209,6 +209,22 @@ def test_fixed_point_stop_work_stays_flat(balance_calls):
     assert counts[0] == counts[1] < 4000 - 1
 
 
+def test_argument_checks(ex1):
+    for u, t in ((-1, 5), (3, 0)):
+        with pytest.raises(InvalidModelError, match="need u_max >= 0 and t_max >= 1"):
+            survival_finite(ex1, u_max=u, t_max=t)
+        with pytest.raises(InvalidModelError, match="need u >= 0 and t_max >= 1"):
+            dp_survival_curve(ex1, u, t)
+
+
+def test_dp_oracle_reads_the_curve(ex1, ex3):
+    for m in (ex1, ex3):
+        g = survival_finite(m, u_max=4, t_max=9)
+        for u, t in ((0, 1), (2, 5), (4, 9)):
+            assert dp_oracle(m, u, t) == dp_survival_curve(m, u, t)[-1]
+            assert dp_oracle(m, u, t) == pytest.approx(g.value(u, t), abs=1e-12)
+
+
 def test_grid_shape_and_edges(ex1):
     g = survival_finite(ex1, u_max=0, t_max=1)
     assert g.values.shape == (1, 1)

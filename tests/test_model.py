@@ -7,6 +7,7 @@ import pytest
 
 from ruinwalk import (
     ModelSpec,
+    Pmf,
     PrecisionError,
     classify,
     from_probs,
@@ -99,7 +100,7 @@ def test_exact_boundary_mean_four():
 
 def test_truncation_straddle_raises():
     # retained mean below 4 but the tail bound reaches past it
-    x = from_probs([0.0, 0.0, 0.0, 1.0], tail_mean_bound=2.0)
+    x = Pmf(np.array([0.0, 0.0, 0.0, 1.0]), mass_defect=0.0, tail_mean_bound=2.0)
     y = from_probs([0.1, 0.9])
     with pytest.raises(PrecisionError):
         classify(ModelSpec(x=x, y=y))

@@ -8,11 +8,14 @@ import pytest
 
 from ruinwalk import (
     InvalidModelError,
+    ModelSpec,
+    Pmf,
     convolve,
     from_probs,
     make_displaced_poisson,
     parse_pmf_spec,
     point_mass,
+    survival_finite,
 )
 from ruinwalk.cli import main
 
@@ -87,6 +90,23 @@ def test_point_mass():
     assert p.probs.tolist() == [0.0, 0.0, 0.0, 1.0]
     assert p.mean_retained == 3.0
     assert p.mass_defect == 0.0
+    for bad in (-1, 1.5):
+        with pytest.raises(InvalidModelError, match="nonnegative integer"):
+            point_mass(bad)
+
+
+@pytest.mark.parametrize("probs, defect, message", [
+    ([], 0.0, "nonempty 1-d"),
+    ([[0.5, 0.5]], 0.0, "nonempty 1-d"),
+    ([1.5, -0.5], 0.0, "finite and >= 0"),
+    ([math.nan, 1.0], 0.0, "finite and >= 0"),
+    ([0.5, 0.5], -0.1, "mass_defect out of range"),
+    ([0.0], 1.5, "mass_defect out of range"),
+    ([0.5, 0.4], 0.0, "must sum to 1"),
+])
+def test_pmf_validation(probs, defect, message):
+    with pytest.raises(InvalidModelError, match=message):
+        Pmf(np.array(probs), defect)
 
 
 def test_displaced_poisson_moments():
@@ -159,6 +179,28 @@ def test_convolve_mean_additive():
     assert c.mean_retained + c.tail_mean_bound >= exact - 1e-12
 
 
+# normalized in float64, each sums to 1 within its own rounding; their
+# products fall 2^-52 short of 1
+_LOSSLESS_X = "pmf:0.14501392248076334,0.447732806925471,0.4072532705937656"
+_LOSSLESS_Y = "pmf:0.3402553136304005,0.2306598959682794,0.1103452004207484,0.31873958998057156"
+
+
+def test_convolve_rounding_shortfall_is_no_defect():
+    """Two inputs without a defect give a sum without one: the products'
+    own rounding is no lost mass, so the grid of the pair stops at its
+    fixed point instead of sweeping every horizon."""
+    x, y = parse_pmf_spec(_LOSSLESS_X), parse_pmf_spec(_LOSSLESS_Y)
+    s = convolve(x, y)
+    assert x.mass_defect == y.mass_defect == 0.0
+    assert 0 < 1.0 - math.fsum(s.probs) <= len(s.probs) * 2.0**-53
+    assert s.mass_defect == 0.0 and s.tail_mean_bound == 0.0
+    grid = survival_finite(ModelSpec(x=x, y=y), u_max=30, t_max=3000)
+    assert grid.rows.shape == (138, 31)
+    # an input with a defect keeps the whole shortfall, however small
+    lossy = convolve(make_displaced_poisson(1.0, 0), y)
+    assert lossy.mass_defect == 1.0 - math.fsum(lossy.probs) > 0
+
+
 def test_convolve_defect_bookkeeping():
     a = make_displaced_poisson(3.0, 0, tail_tol=1e-6)
     b = make_displaced_poisson(2.0, 0, tail_tol=1e-6)
@@ -191,6 +233,26 @@ def test_parse_malformed():
         parse_pmf_spec("nonsense:1,2")
     with pytest.raises(InvalidModelError):
         parse_pmf_spec("dpois:1")
+
+
+@pytest.mark.parametrize("spec, content, message", [
+    ("", None, "empty distribution spec"),
+    ("   ", None, "empty distribution spec"),
+    ("pmf:a,b", None, "bad atom list"),
+    ("@{missing}", None, "cannot read pmf file"),
+    ("@{f}", "0.5\nhalf\n", "bad probability line"),
+    ("@{f}", "\n\n", "is empty"),
+], ids=["empty", "blank", "atoms", "missing-file", "bad-line", "empty-file"])
+def test_bad_specs_exit_2(tmp_path, capsys, spec, content, message):
+    f = tmp_path / "claims.txt"
+    if content is not None:
+        f.write_text(content)
+    spec = spec.format(f=f, missing=tmp_path / "missing.txt")
+    with pytest.raises(InvalidModelError, match=message):
+        parse_pmf_spec(spec)
+    assert main(["classify", "--x", spec, "--y", "dpois:1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
 
 
 def test_parse_file(tmp_path):

@@ -1,7 +1,6 @@
 """Unit tests for the infinite-horizon solver and its cross-checks."""
 
 import math
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 from ruinwalk import (
+    InitialValues,
     InvalidModelError,
     ModelSpec,
     NumericalError,
@@ -26,6 +26,7 @@ from ruinwalk import (
     survival_ultimate,
 )
 from ruinwalk import ultimate
+from ruinwalk.cli import main
 from ruinwalk.model import INCOME_PER_PAIR, PREMIUM_PER_PERIOD, CaseKind
 from ruinwalk.pmf import parse_pmf_spec
 from ruinwalk.reference_tables import ALL_TABLES
@@ -260,6 +261,18 @@ def test_singular_system_error_fields():
     assert isinstance(err, NumericalError)
 
 
+def test_singular_system_raises_and_exits_3(monkeypatch, capsys, ex1):
+    """A difference system whose determinant comes out 0 is refused with
+    its index, and the CLI reports it as a numerical failure."""
+    monkeypatch.setattr(ultimate, "_det", lambda rows: 0)
+    with pytest.raises(SingularSystemError, match="singular at n=20") as info:
+        solve_initials(ex1, n_solve=20)
+    assert info.value.n == 20 and info.value.determinant == 0.0
+    assert main(["ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0", "--u-max", "10"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical error: difference system is singular at n=")
+
+
 # --- forward extension ---
 
 
@@ -268,6 +281,13 @@ def test_extend_requires_contiguous_initials(ex1, ex4):
         extend_ultimate(ex1, {0: 0.4, 2: 0.7}, u_max=10)
     with pytest.raises(InvalidModelError):
         extend_ultimate(ex4, {0: 0.0}, u_max=10)  # case D still needs phi(1)
+
+
+def test_extend_rejects_bad_arguments(ex1, ex5):
+    with pytest.raises(InvalidModelError, match="u_max must be >= 0"):
+        extend_ultimate(ex1, solve_initials(ex1), u_max=-1)
+    with pytest.raises(InvalidModelError, match="no net profit"):
+        extend_ultimate(ex5, {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}, u_max=10)
 
 
 def test_extension_monotone_and_bounded(ex1, ex2, ex3):
@@ -394,12 +414,6 @@ def _within_an_ulp(a, b):
     return np.all(np.abs(a - b) <= np.spacing(np.maximum(np.abs(a), np.abs(b))))
 
 
-def _recurrence_only(init):
-    """The same solve without its sequences: ``extend_ultimate`` recurses
-    from its integer phi(0..j)."""
-    return replace(init, _route=replace(init._route, seqs=None, weights=None))
-
-
 def _counting_forward(monkeypatch):
     calls = []
     forward = ultimate._forward
@@ -433,32 +447,50 @@ def test_row_read_off_the_solve(monkeypatch, rates, u_max):
     assert set(calls) == {r.n_solve + 3}
     monkeypatch.undo()
     init = solve_initials(m, n_solve=r.n_solve)
-    recurred = extend_ultimate(m, _recurrence_only(init), u_max=r.reach)
+    recurred = extend_ultimate(m, init, u_max=r.reach)
     assert _within_an_ulp(r.phi[: r.reach + 1], recurred)
     b = boundary_oracle(m, u_max=u_max, u_big=4000)
     assert np.max(np.abs(r.phi - b)) < 1e-12
 
 
 def test_extend_recurs_without_the_solved_sequences(monkeypatch, ex1, ex3):
-    """Plain dict initials, another model object and a u_max past an
-    explicit n_solve's sequences all take the recurrence."""
+    """Each ``extend_ultimate`` call runs the recurrence once: from its own
+    solve, from the same solve on an equal model in another object, past
+    the solve's sequences, and from plain dict initials."""
     for m in (ex1, ex3):
         init = solve_initials(m, n_solve=20)  # sequences up to index 23
         calls = _counting_forward(monkeypatch)
-        read = extend_ultimate(m, init, u_max=23)
-        assert calls == []
-        assert _within_an_ulp(read, extend_ultimate(m, _recurrence_only(init), u_max=23))
-        assert len(calls) == 1
-        past = extend_ultimate(m, init, u_max=24)
-        assert len(calls) == 2
-        assert np.array_equal(past, extend_ultimate(m, _recurrence_only(init), u_max=24))
-        plain = extend_ultimate(m, dict(init.values), u_max=23)
-        assert len(calls) == 4
-        assert np.array_equal(plain[: len(init.values)], list(init.values.values()))
+        own = extend_ultimate(m, init, u_max=23)
+        assert calls == [23]
         twin = ModelSpec(x=m.x, y=m.y)
-        assert np.array_equal(extend_ultimate(twin, init, u_max=23), past[:24])
-        assert len(calls) == 5
+        assert np.array_equal(extend_ultimate(twin, init, u_max=23), own)
+        assert calls == [23, 23]
+        past = extend_ultimate(m, init, u_max=24)
+        assert calls == [23, 23, 24]
+        assert np.array_equal(past[:24], own)
+        plain = extend_ultimate(m, dict(init.values), u_max=23)
+        assert calls == [23, 23, 24, 23]
+        assert np.array_equal(plain[: len(init.values)], list(init.values.values()))
         monkeypatch.undo()
+
+
+def test_extend_refuses_a_solve_of_other_atoms():
+    """A solve carries its model's tag and atoms; extended on a model with
+    other x or y atoms it is refused, not recursed with the wrong ones."""
+    table1 = ModelSpec(x=make_displaced_poisson(1.0, 0), y=make_displaced_poisson(2.0, 0))
+    init = solve_initials(table1)
+    other = ModelSpec(x=make_displaced_poisson(0.9, 0), y=make_displaced_poisson(1.8, 0))
+    for m in (other, ModelSpec(x=table1.x, y=other.y), ModelSpec(x=other.x, y=table1.y)):
+        with pytest.raises(InvalidModelError, match="other atoms"):
+            extend_ultimate(m, init, u_max=40)
+
+
+def test_hand_built_initials_extend_like_their_dict(ex1, ex4):
+    """``InitialValues`` without a solve behind it extends from its values."""
+    for m in (ex1, ex4):
+        values = dict(solve_initials(m).values)
+        hand = InitialValues(values=values, n_solve=0, determinant=None, precision_bits=None)
+        assert np.array_equal(extend_ultimate(m, hand, u_max=40), extend_ultimate(m, values, u_max=40))
 
 
 def _parent_lundberg_tail(model):
@@ -622,6 +654,13 @@ def test_lundberg_bound_holds(route):
 def test_boundary_oracle_rejects_no_net_profit(ex5):
     with pytest.raises(InvalidModelError):
         boundary_oracle(ex5, u_max=10)
+
+
+def test_boundary_oracle_rejects_bad_sizes(ex1):
+    with pytest.raises(InvalidModelError, match="u_big must be at least 8"):
+        boundary_oracle(ex1, u_max=5, u_big=7)
+    with pytest.raises(InvalidModelError, match="u_max must be >= 0"):
+        boundary_oracle(ex1, u_max=-1)
 
 
 def test_boundary_oracle_pads_past_wall(ex1):
