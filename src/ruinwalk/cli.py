@@ -3,8 +3,11 @@
 Subcommands: finite, ultimate, classify, simulate, conjecture,
 verify-paper. Tables render as markdown (default), csv, or tsv; cell
 rounding is presentation-only and --raw switches to full-precision
-values. Exit codes: 0 success, 1 usage, 2 validation, 3 numerical
-failure, 4 verification mismatch.
+values. A --raw cell is Python's repr of its float64, byte for byte;
+finite grids render theirs with numpy, a bounded block of cells at a
+time (_raw_cells), and print each stored row's text for every horizon
+that shares the row. Exit codes: 0 success, 1 usage, 2 validation,
+3 numerical failure, 4 verification mismatch.
 
 Output depends on argv alone: identical invocations produce
 byte-identical output, since every code path below is deterministic and
@@ -51,13 +54,164 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt_prob(value: float, digits: int) -> str:
     """Presentation rounding: half away from zero, trailing zeros trimmed
-    (so exact 0 and 1 print bare)."""
+    (so exact 0 and 1 print bare). NaN prints as ``nan``, as under --raw."""
+    if math.isnan(value):
+        return "nan"
     v = min(1.0, max(0.0, float(value)))
     q = Decimal(repr(v)).quantize(Decimal(1).scaleb(-digits), rounding=ROUND_HALF_UP)
     s = format(q, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")
     return s if s else "0"
+
+
+# cells per numpy pass of _raw_cells: bounds its temporaries
+_RAW_BLOCK = 1 << 12
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for float64
+# 10^k, exact in float64 for k <= 22, and its halves for Dekker's product
+_POW10 = 10.0 ** np.arange(22)
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+@functools.cache
+def _raw_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII words _raw_cells lays cells out from, NUL-padded:
+
+    - chunks, 4 bytes each: ``f"{c:04d}"`` at c, the same with trailing
+      zeros cut at 10^4 + c, and "0" at 2 * 10^4;
+    - heads, 8 bytes each, right-aligned: what precedes digit 2 of a
+      cell in [10^-j, 10^(1-j)) whose first digit is d, at 10 j + d:
+      "d." for j = 0, else "0." then j - 1 zeros and d.
+    """
+    chunks = np.zeros((2 * 10**4 + 1, 4), np.uint8)
+    c = np.arange(10**4, dtype=np.int16)
+    for i in range(4):
+        chunks[: 10**4, 3 - i] = c // 10**i % 10 + 48
+        # a chunk that ends a cell keeps its digits up to its last nonzero one
+        chunks[10**4 : -1, 3 - i] = chunks[: 10**4, 3 - i] * (c % 10 ** (i + 1) != 0)
+    chunks[-1, 0] = 48
+    heads = np.zeros((5, 10, 8), np.uint8)
+    heads[0, :, 6:] = np.c_[np.arange(10) + 48, np.full(10, 46)]
+    for j in range(1, 5):
+        heads[j, :, 6 - j : 7] = [48, 46, *[48] * (j - 1)]
+        heads[j, :, 7] = np.arange(10) + 48
+    return chunks.view("<u4").ravel(), heads.reshape(50, 8).view("<u4")
+
+
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x 10^k exactly, as an int64 a plus a float64 f in [0, 1), for
+    x 10^k in [2^53, 2^63): Dekker's two-product splits it into the
+    rounded product p, an integer there, and its exact rounding error."""
+    p = x * _POW10[k]
+    xa = _SPLIT * x
+    xh = xa - (xa - x)
+    xl = x - xh
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    err = ((xh * ph - p) + xh * pl + xl * ph) + xl * pl
+    fl = np.floor(err)
+    return p.astype(np.int64) + fl.astype(np.int64), err - fl
+
+
+def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits repr writes for each float64 v of ``values``, as
+    (digits, e, bad): v reads back from digits 10^(e - 16), digits in
+    [10^16, 10^17) with the fewest nonzero digits, and bad marks the cells
+    this does not certify, whose digits and e are 0.
+
+    For v in [10^-4, 10), which repr writes positionally, X = v 10^k with
+    k = 16 - e, e = floor(log10 v), lies in [10^16, 10^17): an integer a
+    plus f in [0, 1), exactly. X and h below are multiples of 2^-48, so
+    f - h and f + h are exact. The rounding interval of v is X - h to
+    X + h, h half an ulp of v times 10^k. (Below a power of two it is
+    X - h / 2, but the powers of two in range are decimals of at most 10
+    digits, their own shortest form, with no shorter one within h.) Its
+    ends are odd multiples of 5^k 2^-i, i >= 34, so no integer sits on
+    them; lo..hi are the integers strictly inside, fewer than 24 as
+    h < 11.2. The shortest digits are a multiple of the largest power of
+    ten that has one in lo..hi, the one nearest X where two do (Gay 1990;
+    Adams 2018). So they are the one multiple of 100 in lo..hi if there
+    is one, whatever power of ten it is also a multiple of: its trailing
+    zeros are not printed. Else they are the nearer multiple of 10 that
+    fits, if any, else the integer nearest X, which fits as h > 1/2.
+    None is 10^17: the double nearest each power of ten in range is not
+    below it, so no v below one has it inside its interval.
+
+    bad marks v outside that range (but for +0.0, digits 0), ties between
+    two nearest candidates, and an e that log10 rounded across a power of
+    ten.
+    """
+    ok = (values >= 1e-4) & (values < 10.0)
+    x = np.where(ok, values, 1.0)
+    e = np.floor(np.log10(x)).astype(np.intp)
+    k = 16 - e
+    a, f = _scaled(x, k)
+    ok &= (a >= 10**16) & (a < 10**17)
+    h = ((x.view(np.int64) >> 52) << 52).view(np.float64) * (_POW10[k] * 2.0**-53)
+    lo = a + np.ceil(f - h).astype(np.int64)
+    hi = a + np.floor(f + h).astype(np.int64)
+
+    down = a // 10 * 10
+    fit_down, fit_up = down >= lo, down + 10 <= hi
+    near = 2 * f - (10 - 2 * (a - down))  # distance to down minus to up
+    fit_up &= ~(fit_down & (near < 0))
+    tens = fit_down | fit_up
+    digits = np.where(tens, down + 10 * fit_up, a + (f > 0.5))
+    tie = np.where(tens, fit_down & fit_up & (near == 0), f == 0.5)
+    hundred = hi // 100 * 100
+    shorter = hundred >= lo
+    digits = np.where(shorter, hundred, digits)
+
+    zero = (values == 0) & ~np.signbit(values)
+    bad = ~(ok | zero) | (tie & ~shorter)
+    digits[bad | zero] = 0
+    e[bad | zero] = 0
+    return digits, e, bad
+
+
+def _raw_cells(values: np.ndarray, ends: np.ndarray) -> bytes:
+    """The ASCII of ``repr(v) + chr(c)`` for each float64 v of ``values``
+    and byte c of ``ends``, concatenated, at array speed: _shortest's
+    digits laid out from _raw_tables, and repr for the cells it marks."""
+    digits, e, bad = _shortest(values)
+    chunks, heads = _raw_tables()
+    d0 = digits // 10**16
+    rest = digits - d0 * 10**16
+    c1 = rest // 10**12
+    r1 = rest - c1 * 10**12
+    c2 = r1 // 10**8
+    r2 = r1 - c2 * 10**8
+    c3 = r2 // 10**4
+    c4 = r2 - c3 * 10**4
+    head = -10 * e + d0
+    out = np.empty((values.size, 7), "<u4")  # head, 16 digits, end: 28 bytes
+    out[:, 0] = heads[head, 0]
+    out[:, 1] = heads[head, 1]
+    # a chunk ends at its last nonzero digit when the chunks after it are
+    # zero, and a "d." head then takes a "0"
+    out[:, 2] = chunks[c1 + (r1 == 0) * 10**4 + ((rest == 0) & (e == 0)) * 10**4]
+    out[:, 3] = chunks[c2 + (r2 == 0) * 10**4]
+    out[:, 4] = chunks[c3 + (c4 == 0) * 10**4]
+    out[:, 5] = chunks[c4 + 10**4]
+    out[:, 6] = ends
+    for i in np.flatnonzero(bad).tolist():
+        text = repr(float(values[i])).encode().ljust(24, b"\0")
+        out[i, :6] = np.frombuffer(text, "<u4")
+    return out.tobytes().translate(None, b"\0")
+
+
+def _raw_rows(rows: np.ndarray, sep: str) -> list[str]:
+    """``[sep.join(map(repr, r)) for r in rows.tolist()]`` for a 2-D
+    float64 array, rendered by _raw_cells _RAW_BLOCK cells at a time."""
+    cols = rows.shape[1]
+    flat = rows.reshape(-1)
+    parts = []
+    for start in range(0, flat.size, _RAW_BLOCK):
+        cells = flat[start : start + _RAW_BLOCK]
+        ends = np.full(cells.size, ord(sep), np.uint8)
+        ends[(cols - 1 - start) % cols :: cols] = ord("\n")
+        parts.append(_raw_cells(cells, ends))
+    return b"".join(parts).decode("ascii").split("\n")[:-1]
 
 
 def _fmt_det(num: int, den: int, raw: bool) -> str:
@@ -228,29 +382,40 @@ def _cmd_finite(ns) -> int:
     grid = survival_finite(model, u_max=u_hi, t_max=t_hi)
     header = ["T\\u"] + [str(u) for u in range(u_lo, u_hi + 1)]
     block = grid.rows[:, u_lo:]
-    # csv and tsv rows are cells joined by the separator, so a stored
-    # row's cells are joined once and each horizon puts its label in front
-    sep = _SEPARATORS.get(ns.format)
-
-    def formatted(row):
-        cells = list(map(cell, row.tolist()))
-        return cells if sep is None else [sep.join(cells)]
+    # a stored row is rendered as its cells joined by the separator, and
+    # each horizon that prints it puts its label in front; markdown splits
+    # the joined cells again to size its columns
+    sep = _SEPARATORS.get(ns.format, ",")
+    if ns.raw:
+        render = functools.partial(_raw_rows, sep=sep)
+    else:
+        def render(rows):
+            return [sep.join(map(cell, r)) for r in rows.tolist()]
+    cells = (lambda text: [text]) if ns.format in _SEPARATORS else (lambda text: text.split(sep))
+    span = grid.index[t_lo - 1 : t_hi]
+    # the last horizon that prints each stored row, t_lo - 1 for none
+    last = np.full(len(grid.rows), t_lo - 1)
+    for start in range(0, span.size, _RAW_BLOCK):
+        part = span[start : start + _RAW_BLOCK]
+        np.maximum.at(last, part, np.arange(t_lo + start, t_lo + start + part.size))
+    used = np.flatnonzero(last >= t_lo)
+    until = last[used].tolist()
+    per_block = max(1, _RAW_BLOCK // block.shape[1])
 
     def rows():
-        # the last two rows formatted, newest first, as (row, bytes, cells):
-        # the grid's parity fill points a horizon at the row two horizons
-        # back, and a stored row near a fixed point can repeat the bytes of
-        # the one before it (bytes keep -0.0 and NaN exact)
-        new = old = (-1, b"", None)
-        for t, i in enumerate(grid.index[t_lo - 1 : t_hi].tolist(), t_lo):
-            if i == old[0]:
-                new, old = old, new
-            elif i != new[0]:
-                key = block[i].tobytes()
-                match = new if key == new[1] else old if key == old[1] else None
-                cells = formatted(block[i]) if match is None else match[2]
-                new, old = (i, key, cells), new
-            yield [str(t), *new[2]]
+        # the rows the span prints are rendered once each, in order and a
+        # bounded block of cells at a time; a row's text is dropped after
+        # the last horizon that prints it
+        texts = []
+        for start in range(0, span.size, _RAW_BLOCK):
+            slots = np.searchsorted(used, span[start : start + _RAW_BLOCK]).tolist()
+            for t, i in enumerate(slots, t_lo + start):
+                while i >= len(texts):
+                    texts += map(cells, render(block[used[len(texts) : len(texts) + per_block]]))
+                row = texts[i]
+                if until[i] == t:
+                    texts[i] = None
+                yield [str(t), *row]
 
     _emit_table(header, rows(), ns.format)
     print(_note(f"error_bound: {grid.error_bound:.3e}", ns.format))

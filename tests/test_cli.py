@@ -204,6 +204,86 @@ def test_long_lossless_grid_streams_in_flat_memory():
     assert 10 * 1024 < base and _peak_rss_kib(*argv) - base < 20 * 1024
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_raw_grid_renders_in_bounded_blocks():
+    # a dpois grid never repeats a row, so all 20000 stored rows print
+    # once each; rendering them a block of cells at a time keeps the peak
+    # to the grid's own 5 MB and a few blocks over the import
+    argv = ("finite", "--x", "dpois:1,0", "--y", "dpois:2,0",
+            "--u", "0..30", "--t", "1..20000", "--raw", "--format", "csv")
+    assert _peak_rss_kib(*argv) - _peak_rss_kib() < 12 * 1024
+
+
+def _repr_cells(values: np.ndarray, ends: np.ndarray) -> bytes:
+    return b"".join(repr(v).encode() + bytes([e]) for v, e in zip(values.tolist(), ends.tolist()))
+
+
+# float64 bit patterns: any pattern at all, the edges repr changes form
+# at and their neighbours, and values in the range _raw_cells lays out
+_SPECIAL_BITS = [int(b) for b in np.array(
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e-4, 10.0, 1.0, 0.5,
+     2.7755575615628914e-17, -2.7755575615628914e-17, 1e16, 1e300]).view(np.uint64)]
+_SPECIAL_BITS += [0x7FF8000000000000, 0x7FF8000000000001, 0xFFF0000000000001, 0x7FF0000000000001]
+_float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(_SPECIAL_BITS).flatmap(lambda b: st.integers(max(0, b - 2), min(2**64 - 1, b + 2))),
+    st.integers(int(np.float64(1e-4).view(np.uint64)), int(np.float64(10.0).view(np.uint64))),
+    st.floats(0, 1).map(lambda v: int(np.float64(v).view(np.uint64))),
+)
+
+
+@given(st.lists(_float_bits, min_size=1, max_size=60), st.integers(1, 9), st.integers(1, 70))
+@example([0x7FF8000000000001, 0x8000000000000000, 1, 0x3FF0000000000000], 2, 3)
+@settings(max_examples=300, deadline=None)
+def test_raw_cells_are_repr(bits, cols, block):
+    """_raw_cells writes repr(v) + chr(end) for each cell, and _raw_rows
+    joins them into rows, whatever the bits: NaN payloads, infinities,
+    signed zeros and subnormals fall back to repr one cell at a time.
+    A small block size cuts rows across blocks."""
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    ends = np.arange(len(values), dtype=np.uint8) % 3 + 44
+    assert cli._raw_cells(values, ends) == _repr_cells(values, ends)
+    rows = values[: len(values) // cols * cols].reshape(-1, cols)
+    with mock.patch.object(cli, "_RAW_BLOCK", block):
+        assert cli._raw_rows(rows, "\t") == ["\t".join(map(repr, r)) for r in rows.tolist()]
+
+
+def test_raw_cells_match_repr_on_a_sweep():
+    # 3 * 10^6 doubles where a shortest-digits formatter goes wrong:
+    # random bits in and around [1e-4, 10), values near 1, powers of two
+    # (whose rounding interval is lopsided) and of ten with their
+    # neighbours, both range edges, dyadic values with exact 17-digit
+    # ties, and short decimals, whose digits stop well before 17
+    rng = np.random.default_rng(20261020)
+    lo, hi = (int(np.float64(v).view(np.int64)) for v in (1e-4, 10.0))
+    offsets = np.arange(-40, 41)
+    p2, p10 = 2.0 ** np.arange(-15, 5), 10.0 ** np.arange(-5, 2)
+    steps = np.spacing(1.0) * offsets / 4
+    r = rng.random(40_000)
+    parts = [
+        rng.integers(lo, hi, 400_000).view(np.float64),
+        rng.integers(lo - 2**52, hi + 2**52, 100_000).view(np.float64),
+        rng.random(100_000),
+        1.0 + steps, np.nextafter(1.0, 0) + steps,
+        (p2.view(np.int64)[:, None] + offsets).ravel().view(np.float64),
+        (p10.view(np.int64)[:, None] + offsets).ravel().view(np.float64),
+        (np.array([1e-4, 10.0]).view(np.int64)[:, None] + np.arange(-2000, 2000)).ravel().view(np.float64),
+        *(rng.integers(1, 2**20, 2_000) / 2.0**j for j in range(1, 60)),
+        *(np.round(r * 10.0**-e, d) for e in range(5) for d in range(1, 13)),
+    ]
+    values = np.concatenate(parts)
+    assert values.size > 10**6
+    # only ties fall back to repr in range: random bits and short
+    # decimals take the array path
+    for part in (parts[0], parts[-1]):
+        assert not cli._shortest(part[(part >= 1e-4) & (part < 10)])[2].any()
+    ends = np.full(values.size, ord(","), np.uint8)
+    for start in range(0, values.size, cli._RAW_BLOCK):
+        cells = values[start : start + cli._RAW_BLOCK]
+        got = cli._raw_cells(cells, ends[: cells.size]).decode().split(",")[:-1]
+        assert got == list(map(repr, cells.tolist())), start
+
+
 def test_csv_cells_need_no_quoting(capsys):
     # csv rows are joined, never quoted: every line reads back unchanged
     import csv
@@ -291,6 +371,14 @@ def test_ultimate_cells_formatted_per_run(runs, digits):
             assert main(argv) == 0
     cell = repr if digits is None else functools.partial(cli._fmt_prob, digits=digits)
     assert out.getvalue().splitlines()[1].split(",") == ["inf", *map(cell, phi.tolist())]
+
+
+@pytest.mark.parametrize("digits", [0, 3, 6])
+def test_fmt_prob_prints_nan(digits):
+    # max(0.0, nan) is 0.0, so clamping first would print a NaN cell as 0
+    assert cli._fmt_prob(float("nan"), digits) == "nan"
+    assert cli._fmt_prob(float(_NAN2), digits) == "nan"
+    assert cli._fmt_prob(float("inf"), digits) == "1"
 
 
 def test_classify_output(capsys):
