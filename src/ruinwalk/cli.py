@@ -133,13 +133,14 @@ def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Adams 2018). So they are the one multiple of 100 in lo..hi if there
     is one, whatever power of ten it is also a multiple of: its trailing
     zeros are not printed. Else they are the nearer multiple of 10 that
-    fits, if any, else the integer nearest X, which fits as h > 1/2.
+    fits, if any, else the integer nearest X, which fits as h > 1/2. A
+    tie between the two nearest goes to the one whose last printed digit
+    is even, as repr's digit generation rounds half to even.
     None is 10^17: the double nearest each power of ten in range is not
     below it, so no v below one has it inside its interval.
 
-    bad marks v outside that range (but for +0.0, digits 0), ties between
-    two nearest candidates, and an e that log10 rounded across a power of
-    ten.
+    bad marks v outside that range (but for +0.0, digits 0) and an e that
+    log10 rounded across a power of ten.
     """
     ok = (values >= 1e-4) & (values < 10.0)
     x = np.where(ok, values, 1.0)
@@ -154,16 +155,15 @@ def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     down = a // 10 * 10
     fit_down, fit_up = down >= lo, down + 10 <= hi
     near = 2 * f - (10 - 2 * (a - down))  # distance to down minus to up
-    fit_up &= ~(fit_down & (near < 0))
+    fit_up &= ~(fit_down & ((near < 0) | (near == 0) & (down % 20 == 0)))
     tens = fit_down | fit_up
-    digits = np.where(tens, down + 10 * fit_up, a + (f > 0.5))
-    tie = np.where(tens, fit_down & fit_up & (near == 0), f == 0.5)
+    digits = np.where(tens, down + 10 * fit_up, a + ((f > 0.5) | (f == 0.5) & (a % 2 == 1)))
     hundred = hi // 100 * 100
     shorter = hundred >= lo
     digits = np.where(shorter, hundred, digits)
 
     zero = (values == 0) & ~np.signbit(values)
-    bad = ~(ok | zero) | (tie & ~shorter)
+    bad = ~(ok | zero)
     digits[bad | zero] = 0
     e[bad | zero] = 0
     return digits, e, bad

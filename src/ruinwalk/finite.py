@@ -42,11 +42,14 @@ over the surplus (shares nothing with the recursion above) and a Monte
 Carlo estimator. The estimator reads one Philox stream: trial i takes raw
 outputs i*t .. (i+1)*t - 1, a period's claim is the number of cdf
 entries <= (raw >> 11) * 2^-53, and a draw past the retained mass means
-ruin. A per-season guide table turns almost every draw into its surplus
-step with one lookup; the rest meet exact integer thresholds. Philox is
+ruin. A per-season guide table turns almost every draw into its int32
+surplus step with one lookup; the rest meet exact integer thresholds,
+both seasons' in one sorted search. Prefix sums run in int32 wherever a
+block's draws times its largest step fit, else in int64. Philox is
 counter-based, so contiguous trial ranges run in parallel, one per CPU
 (two at most at the default budget), each from its own segment of that
-stream, and share one chunk budget.
+stream, and share one chunk budget, which sizes each range's chunk by
+the bytes a draw and a trial hold.
 Chunking the trials, splitting long horizons into time blocks and
 splitting the trials into ranges bound the memory and the wall time and
 never change the estimate: the survivor count is an integer sum.
@@ -70,12 +73,17 @@ from .ultimate import _lundberg_tail
 # Monte Carlo chunk budget: the chunks in flight keep their temporaries
 # under _MC_CHUNK_DOUBLES doubles (8 bytes each) together, whatever the
 # trial count, the horizon or the number of parallel trial ranges; each
-# of p ranges gets _MC_CHUNK_DOUBLES / p. A chunk holds at most 1/16 of
-# its budget in draws, so each draw has 128 bytes of budget against about
-# 25 bytes of buffers (raw output, table index, step, a flag byte) and at
-# most 60 of per-trial state. The guide tables, shared by all ranges, get
-# at most _MC_CHUNK_DOUBLES / 64 buckets per season.
+# of p ranges gets _MC_CHUNK_DOUBLES / p. A chunk is sized from the bytes
+# it holds: _MC_DRAW_BYTES per draw and _MC_TRIAL_BYTES per trial, and
+# as a trial makes at least one draw, at most one trial per draw. The
+# guide tables, shared by all ranges, get at most _MC_CHUNK_DOUBLES / 64
+# buckets per season.
 _MC_CHUNK_DOUBLES = 1 << 20
+# raw output 8, table index 8, step 4 and its exact-search flag 1
+_MC_DRAW_BYTES = 21
+# level 8, low 8, ruined 1 and row start 8; the rest covers the row
+# minimum, its sum with the level and the survivor masks
+_MC_TRIAL_BYTES = 43
 # Smallest chunk budget that a parallel trial range gets: the share that
 # was measured to pay for its thread, two ranges on a 2-core host. At a
 # quarter of it two ranges ran slower than one, their numpy calls waiting
@@ -85,7 +93,7 @@ _MC_RANGE_DOUBLES = _MC_CHUNK_DOUBLES // 2
 # of the draws need the exact threshold search.
 _MC_GUIDE_BITS = 12
 # Guide-table code for a bucket whose draws need the exact search.
-_MC_EXACT = np.iinfo(np.int64).min
+_MC_EXACT = np.iinfo(np.int32).min
 
 
 @dataclass(frozen=True)
@@ -236,8 +244,8 @@ def _guide(pmf, bits: int):
     A draw k = raw >> 11 stands for the uniform k * 2^-53, which is at
     least cdf[j] exactly when k >= ceil(cdf[j] * 2^53); the claim is the
     number of thresholds <= k. Bucket b holds the k sharing their top
-    ``bits`` bits. Its entry is the step 2 - claim when every k in it has
-    the same claim and that claim is retained, else _MC_EXACT: a
+    ``bits`` bits. Its int32 entry is the step 2 - claim when every k in
+    it has the same claim and that claim is retained, else _MC_EXACT: a
     threshold cuts the bucket or it lies past the retained mass.
     """
     thresholds = np.ceil(np.cumsum(pmf.probs) * 2.0**53).astype(np.int64)
@@ -245,34 +253,58 @@ def _guide(pmf, bits: int):
     first = np.searchsorted(thresholds, lo, side="right")
     last = np.searchsorted(thresholds, lo + (1 << (53 - bits)) - 1, side="right")
     exact = (first != last) | (first == len(thresholds))
-    return thresholds, np.where(exact, _MC_EXACT, 2 - first)
+    return thresholds, np.where(exact, _MC_EXACT, 2 - first).astype(np.int32)
 
 
 def _mc_draws(budget: int) -> int:
-    """Draws in one chunk of ``budget`` doubles: 1/16 of it, even, at least 2."""
-    return max(2, budget // 16 // 2 * 2)
+    """Draws in one chunk of ``budget`` doubles, with a trial per draw
+    at most: even, at least 2."""
+    return max(2, budget * 8 // (_MC_DRAW_BYTES + _MC_TRIAL_BYTES) // 2 * 2)
 
 
 def _mc_tables(model: ModelSpec, budget: int):
-    """Guide bits, both seasons' thresholds and their joint guide table."""
+    """Guide bits, the joint guide table, and the exact search's merged
+    thresholds with the step and ruin flag of each search result.
+
+    y's guide buckets sit 2^bits above x's. The exact search keys a y
+    draw k as k + 2^53: x's thresholds are at most 2^53, y's are shifted
+    by 2^53, and a sentinel 2^53 between them counts for every y key and
+    no x key, so x draws land on results 0 .. nx and y draws on
+    nx + 1 .. nx + 1 + ny, nx and ny the seasons' threshold counts. The
+    last result of each season is ruin, with step 0.
+    """
     bits = max(1, min(_MC_GUIDE_BITS, (budget // 64).bit_length() - 1))
     (kx, gx), (ky, gy) = _guide(model.x, bits), _guide(model.y, bits)
-    return bits, kx, ky, np.concatenate((gx, gy))  # y buckets sit 2^bits above x's
+    thresholds = np.concatenate((kx, [1 << 53], ky + (1 << 53)))
+    claims = np.concatenate((np.arange(len(kx) + 1), np.arange(len(ky) + 1)))
+    ruins = np.zeros(claims.size, dtype=bool)
+    ruins[[len(kx), -1]] = True
+    fates = np.where(ruins, 0, 2 - claims).astype(np.int32)
+    return bits, np.concatenate((gx, gy)), thresholds, fates, ruins
+
+
+def _mc_scratch(draws: int):
+    """One range's chunk buffers for ``draws`` draws: int64 table indices
+    (their spent space takes the prefix sums) and int32 steps."""
+    return np.empty(draws, dtype=np.int64), np.empty(draws, dtype=np.int32)
 
 
 def _mc_survivors(tables, u: int, t: int, seed: int, lo: int, hi: int, scratch, stop) -> int:
     """Survivors among trials lo .. hi - 1; a partial count once ``stop`` is set.
 
-    ``scratch`` is a (2, draws) int64 array, the index and step buffers of
-    one chunk of ``draws`` draws; the rest of a chunk's memory scales with
-    it as _MC_CHUNK_DOUBLES describes. The trials read raw outputs
-    lo*t .. hi*t - 1 of Philox(key=seed): the stream is opened at block
-    (lo*t) // 4, four outputs a block, and the first (lo*t) % 4 outputs
-    are dropped, so a range sees exactly what the sequential stream gives
-    its trials. ``stop``, a threading.Event, is read before every block of
-    draws, so a set event ends the count within one chunk.
+    ``scratch`` is _mc_scratch's pair for one chunk of ``draws`` draws:
+    the int64 index buffer and the int32 step buffer. The prefix sums go
+    to the spent index buffer, as int32 when a block's draws times its
+    largest step fit in int32 and as int64 otherwise; the rest of a
+    chunk's memory scales with it as _MC_DRAW_BYTES and _MC_TRIAL_BYTES
+    describe. The trials read raw outputs lo*t .. hi*t - 1 of
+    Philox(key=seed): the stream is opened at block (lo*t) // 4, four
+    outputs a block, and the first (lo*t) % 4 outputs are dropped, so a
+    range sees exactly what the sequential stream gives its trials.
+    ``stop``, a threading.Event, is read before every block of draws, so a
+    set event ends the count within one chunk.
     """
-    bits, kx, ky, table = tables
+    bits, table, thresholds, fates, ruins = tables
     idx, steps = scratch
     draws = idx.size
     rows = max(1, min(hi - lo, draws // t))
@@ -280,6 +312,9 @@ def _mc_survivors(tables, u: int, t: int, seed: int, lo: int, hi: int, scratch, 
     width = min(t, draws)
     starts = np.arange(0, rows * width, width)
     floor = max(1 - u, np.iinfo(np.int64).min)
+    # no partial sum of a block passes its draws times the largest step
+    narrow = rows * width * max(2, -int(fates.min())) <= np.iinfo(np.int32).max
+    sums = idx.view(np.int32) if narrow else idx
 
     bit_gen = np.random.Philox(key=seed, counter=lo * t // 4)
     bit_gen.random_raw(lo * t % 4)
@@ -299,23 +334,24 @@ def _mc_survivors(tables, u: int, t: int, seed: int, lo: int, hi: int, scratch, 
             index.reshape(n, w)[:, 1::2] += 1 << bits
             np.take(table, index, out=step, mode="wrap")
             pos = np.flatnonzero(step == _MC_EXACT)
-            odd = (pos % w) & 1 == 1
-            k = (raw[pos] >> 11).astype(np.int64)
+            key = (raw[pos] >> 11).astype(np.int64)
             del raw  # freed before the next block's draws are made
-            claim = np.where(odd, np.searchsorted(ky, k, side="right"),
-                             np.searchsorted(kx, k, side="right"))
-            ruin = claim == np.where(odd, len(ky), len(kx))
-            step[pos] = np.where(ruin, 0, 2 - claim)
-            ruined[pos[ruin] // w] = True
+            key += (pos % w & 1) << 53  # y draws search y's thresholds
+            found = np.searchsorted(thresholds, key, side="right")
+            step[pos] = fates[found]
+            ruined[pos[ruins[found]] // w] = True
             # one running sum over the whole block; each row subtracts
             # the sum in front of it. It goes to the spent index buffer:
             # numpy holds the interpreter lock through an in-place cumsum,
             # which would serialise the parallel ranges
-            path = np.cumsum(step, out=index)
+            path = np.cumsum(step, dtype=sums.dtype, out=sums[: n * w])
             ends = path[w - 1 :: w]
-            before = np.concatenate(([0], ends[:-1]))
-            np.minimum(low, level + np.minimum.reduceat(path, starts[:n]) - before, out=low)
-            level += ends - before
+            row_low = np.minimum.reduceat(path, starts[:n])
+            row_low[1:] -= ends[:-1]
+            np.minimum(low, level + row_low, out=low)
+            # only a time block's successor reads level, and time blocks
+            # hold one trial each, whose sum is ends[0]
+            level += ends
         survived += int(np.count_nonzero((low >= floor) & ~ruined))
     return survived
 
@@ -346,9 +382,10 @@ def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McE
     budget; the calling thread runs the first range and one thread each the
     rest. When a range fails or the caller is interrupted, the other ranges
     stop within one chunk and the error reaches the caller. A range's
-    chunks map their draws to steps through a guide table (exact integer
-    compares for draws in buckets that a cdf entry cuts), take prefix
-    sums, and keep the lowest. A trial whose horizon alone exceeds the
+    chunks map their draws to int32 steps through a guide table (one
+    exact integer search for draws in buckets that a cdf entry cuts),
+    take prefix sums, int32 where they cannot overflow, and keep the
+    lowest. A trial whose horizon alone exceeds the
     chunk budget runs in time blocks that carry the surplus and its
     running minimum. Neither the split into ranges nor chunking nor time
     blocking changes the estimate.
@@ -373,7 +410,7 @@ def mc_estimate(model: ModelSpec, u: int, t: int, trials: int, seed: int) -> McE
     # thread frees stays in its own malloc arena, out of the caller's reach.
     # A range needs no more draws than its trials hold.
     draws = min(_mc_draws(budget // parts), -(-trials // parts) * t)
-    scratch = np.empty((parts, 2, draws), dtype=np.int64)
+    scratch = [_mc_scratch(draws) for _ in range(parts)]
     counts = [0] * parts
     failures = []
     stop = threading.Event()

@@ -2,6 +2,7 @@
 
 import functools
 import io
+import math
 import subprocess
 import sys
 import time
@@ -273,8 +274,8 @@ def test_raw_cells_match_repr_on_a_sweep():
     ]
     values = np.concatenate(parts)
     assert values.size > 10**6
-    # only ties fall back to repr in range: random bits and short
-    # decimals take the array path
+    # in range only a log10 rounded across a power of ten falls back to
+    # repr: random bits and short decimals take the array path
     for part in (parts[0], parts[-1]):
         assert not cli._shortest(part[(part >= 1e-4) & (part < 10)])[2].any()
     ends = np.full(values.size, ord(","), np.uint8)
@@ -282,6 +283,31 @@ def test_raw_cells_match_repr_on_a_sweep():
         cells = values[start : start + cli._RAW_BLOCK]
         got = cli._raw_cells(cells, ends[: cells.size]).decode().split(",")[:-1]
         assert got == list(map(repr, cells.tolist())), start
+
+
+def test_raw_cells_round_ties_half_even():
+    # dyadic values m / 2^j in [1e-4, 10), many with X = v 10^k exactly
+    # halfway between two integers (17 digits) or between two multiples
+    # of 10 inside the rounding interval (16). Where no shorter form fits,
+    # repr rounds such ties half to even; _shortest does too, with no
+    # fallback to repr
+    from fractions import Fraction
+
+    rng = np.random.default_rng(1729)
+    values = np.concatenate([rng.integers(1, 2**b, 300) / 2.0**j
+                             for b in range(4, 54, 4) for j in range(1, 64)])
+    values = values[(values >= 1e-4) & (values < 10)]
+    ties = {17: 0, 16: 0}
+    for v in values.tolist():
+        k = 16 - math.floor(math.log10(v))
+        x, h = Fraction(v) * 10**k, Fraction(math.ulp(v)) / 2 * 10**k
+        ties[17] += x.denominator == 2
+        ties[16] += x.denominator == 1 and x.numerator % 10 == 5 and h > 5
+    assert min(ties.values()) > 100, ties
+    assert not cli._shortest(values)[2].any()
+    ends = np.full(values.size, ord(","), np.uint8)
+    got = cli._raw_cells(values, ends).decode().split(",")[:-1]
+    assert got == list(map(repr, values.tolist()))
 
 
 def test_csv_cells_need_no_quoting(capsys):

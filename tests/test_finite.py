@@ -282,19 +282,23 @@ def test_mc_chunk_memory_capped(ex1, monkeypatch):
 
     import ruinwalk.finite as finite
 
-    args = dict(u=0, t=1000, trials=3000, seed=4)
-    want = mc_estimate(ex1, **args)
-    # 65 chunks of 64 trials in place of one chunk of 3000 x 1000 doubles (24 MB)
+    cases = [
+        dict(t=1000, trials=3000),  # chunks of a few trials, not one of 3000 x 1000 draws (24 MB)
+        dict(t=1, trials=200_000),  # a trial per draw: per-trial state weighs as much as the draws
+        dict(t=2, trials=100_000),
+    ]
+    wants = [mc_estimate(ex1, u=0, seed=4, **case) for case in cases]
     cap = 1 << 16
     monkeypatch.setattr(finite, "_MC_CHUNK_DOUBLES", cap)
-    tracemalloc.start()
-    try:
-        got = mc_estimate(ex1, **args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got == want
-    assert peak < 8 * cap
+    for case, want in zip(cases, wants):
+        tracemalloc.start()
+        try:
+            got = mc_estimate(ex1, u=0, seed=4, **case)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want, case
+        assert peak < 8 * cap, case
 
 
 def test_mc_truncated_tail_counts_as_ruin():
@@ -378,6 +382,32 @@ def test_mc_matches_per_period_reference(ex1, monkeypatch):
         want = _per_period_reference(m, u, t, trials, seed)
         got = mc_estimate(m, u=u, t=t, trials=trials, seed=seed)
         assert (got.estimate, got.stderr) == want, (u, t, trials, seed)
+
+
+def test_mc_wide_prefix_sums_match_reference(ex1, monkeypatch):
+    # x claims 40,000 every odd period: a block of two 60,001-draw trials
+    # sums past -2^31, so its prefix sums run in int64; ex1's fit int32.
+    # u puts the final surplus, the lowest, near the median of y's claims
+    x = np.zeros(40_001)
+    x[-1] = 1.0
+    wide = ModelSpec(x=from_probs(x), y=from_probs([0.5, 0.5]))
+    cases = [(wide, 30_001 * 39_998 - 60_000 + 15_000, 60_001, 4, 9), (ex1, 3, 181, 3001, 7)]
+    wants = [_per_period_reference(*case) for case in cases]
+    assert 0 < wants[0][0] < 1
+    sums = []
+    cumsum = np.cumsum
+
+    def spy(a, *args, **kwargs):
+        if a.dtype == np.int32:  # the step buffer
+            sums.append(np.dtype(kwargs["dtype"]))
+        return cumsum(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    for (m, u, t, trials, seed), want, dtype in zip(cases, wants, (np.int64, np.int32)):
+        sums.clear()
+        got = mc_estimate(m, u=u, t=t, trials=trials, seed=seed)
+        assert (got.estimate, got.stderr) == want
+        assert sums and set(sums) == {np.dtype(dtype)}
 
 
 def test_mc_guide_table_exact_at_thresholds():
@@ -472,7 +502,7 @@ def test_mc_split_invariance(ex1, monkeypatch, u, t, trials, seed, cap):
     tables = finite._mc_tables(ex1, budget)
 
     def survivors(lo, hi, parts):
-        scratch = np.empty((2, finite._mc_draws(budget // parts)), dtype=np.int64)
+        scratch = finite._mc_scratch(finite._mc_draws(budget // parts))
         return finite._mc_survivors(tables, u, t, seed, lo, hi, scratch, threading.Event())
 
     whole = survivors(0, trials, 1)
@@ -547,7 +577,7 @@ def test_mc_threads_joined_and_worker_errors_raised(ex1, monkeypatch):
 def test_mc_caller_error_stops_workers(ex1, monkeypatch, error):
     import ruinwalk.finite as finite
 
-    # 10^5 trials a range: 550 chunks of 182 trials each at the default budget
+    # 10^5 trials a range: 275 chunks of 364 trials each at the default budget
     args = dict(u=1, t=180, trials=200_000, seed=3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     survivors = finite._mc_survivors
@@ -574,4 +604,4 @@ def test_mc_caller_error_stops_workers(ex1, monkeypatch, error):
     with pytest.raises(type(error)):
         mc_estimate(ex1, **args)
     assert threading.active_count() == before
-    assert 1 <= len(blocks) < 100  # the worker stopped early, not after 550 chunks
+    assert 1 <= len(blocks) < 100  # the worker stopped early, not after 275 chunks
