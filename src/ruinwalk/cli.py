@@ -72,6 +72,9 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for float64
 _POW10 = 10.0 ** np.arange(22)
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
+# the doubles nearest 10^-4 .. 10^1, none below its power of ten, so
+# x < _TENS[e + 4] exactly when x < 10^e for doubles x
+_TENS = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
 
 
 @functools.cache
@@ -139,12 +142,14 @@ def _shortest(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     None is 10^17: the double nearest each power of ten in range is not
     below it, so no v below one has it inside its interval.
 
-    bad marks v outside that range (but for +0.0, digits 0) and an e that
-    log10 rounded across a power of ten.
+    e is lowered where log10 rounded v just below a power of ten up to
+    it. bad marks v outside that range (but for +0.0, digits 0) and an e
+    that log10 rounded down across a power of ten.
     """
     ok = (values >= 1e-4) & (values < 10.0)
     x = np.where(ok, values, 1.0)
     e = np.floor(np.log10(x)).astype(np.intp)
+    e -= x < _TENS[e + 4]  # log10 rounded up to a power of ten
     k = 16 - e
     a, f = _scaled(x, k)
     ok &= (a >= 10**16) & (a < 10**17)

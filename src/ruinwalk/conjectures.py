@@ -23,7 +23,8 @@ observations (no zero, |D| nondecreasing along the chain's stride,
 min |D|) that hold regardless of convention.
 
 Both probes read the integer sequences of ``ultimate._sequences``
-directly, and M_n comes from ``ultimate._difference_rows``, the helper
+directly, the free coefficients only (the margin's sequence is not
+built), and M_n comes from ``ultimate._difference_rows``, the helper
 the solve inverts: D_n is the exact integer determinant of those rows
 over the power of two their entries carry, and every chain check
 compares exact integers.
@@ -135,8 +136,7 @@ def determinant_trace(model: ModelSpec, which: int, n_max: int = 100) -> Determi
     if not 1 <= n_max <= N_SOLVE_CAP:
         raise InvalidModelError(f"n_max must lie in 1..{N_SOLVE_CAP}, got {n_max}")
 
-    seqs, bits = _sequences(model, tag, _Atoms(model), n_max + 3)
-    cols = seqs[:-1]  # the free coefficients; the margin's comes last
+    cols, bits = _sequences(model, tag, _Atoms(model), n_max + 3, False)  # the free coefficients
     dim = len(cols)
     scale = dim * bits  # D_n carries 2^bits from each row
     stride = 2 if which == 1 else 1
@@ -206,7 +206,7 @@ def coefficient_chain(model: ModelSpec, n_max: int = 100) -> ChainReport:
     if not 3 <= n_max <= N_SOLVE_CAP:
         raise InvalidModelError(f"n_max must lie in 3..{N_SOLVE_CAP}, got {n_max}")
 
-    seqs, bits = _sequences(model, tag, _Atoms(model), n_max + 1)
+    seqs, bits = _sequences(model, tag, _Atoms(model), n_max + 1, False)
     # the one free coefficient: phi(0)'s in s.1/s.2, phi(1)'s in s.3
     c, one = seqs[0], 1 << bits
     violations: list[tuple[int, str]] = []

@@ -22,17 +22,20 @@ per horizon is then O(w + smax) whatever t_max is. Models with no net
 profit, or with no tail (u* = inf), keep the full window through the
 same loop.
 
-Work stops at B's float64 fixed point, not at t_max. Every layer up to
+Work stops at B's float64 fixed point, or at a float64 cycle of period
+2 in each parity, not at t_max. Every layer up to
 t_cap = t_max - ceil((w - u_max) / 2) spans the whole capped window, and
 B reads nothing but the layer two before. So once two consecutive such
 layers equal, bit for bit, the layers two before them, every later
-capped layer repeats them with period 2, and only the shrinking windows
-past t_cap are computed. Only a lossless model (no mass lost to
-truncation) can get there; a truncated one's far value shrinks every
-layer, so it never pays for the compare. The grid stores each computed
-layer's cells u = 0..u_max once, as one row, and a horizon index maps
-horizon T to its row: the horizons the fixed point repeats are index
-entries pointing at the last two rows, written by parity. The row
+capped layer repeats them with period 2; once they equal the layers four
+before them instead, with period 4. Only the shrinking windows past
+t_cap are then computed, from the repeated layers of t_cap - 1 and
+t_cap. Only a lossless model (no mass lost to truncation) can get there;
+a truncated one's far value shrinks every layer, so it never pays for
+the compare. The grid stores each computed layer's cells u = 0..u_max
+once, as one row, and a horizon index maps horizon T to its row: the
+horizons a fixed point or a cycle repeats are index entries pointing at
+the last two or four rows, written by residue. The row
 buffer is allocated for t_max rows but written only as far as rows are
 computed, and pages never written take no memory. The full
 (u_max + 1) x t_max array is built only when ``values`` is read.
@@ -159,7 +162,11 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
     rows[0] = newer[: u_max + 1]
     index[0] = 0
     stored = 1
-    repeats = 0  # consecutive capped layers equal to the layer two before
+    # consecutive capped layers equal to the layer two before, and to the
+    # layer four before, compared by their bytes: those of layers T - 4 ..
+    # T - 1 while capped, None before layer 0
+    repeats = cycles = 0
+    seen = [None, None, older.tobytes(), newer.tobytes()]
     t = 2
     while t <= t_max:
         n = min(u_max + 2 * (t_max - t), w) + 1  # the layer's width
@@ -173,16 +180,23 @@ def survival_finite(model: ModelSpec, u_max: int, t_max: int) -> SurvivalGrid:
         index[t - 1] = stored
         stored += 1
         if lossless and t <= t_cap:
-            repeats = repeats + 1 if layer.tobytes() == older.tobytes() else 0
+            now = layer.tobytes()
+            repeats = repeats + 1 if now == seen[2] else 0
+            cycles = cycles + 1 if now == seen[0] else 0
+            seen = seen[1:] + [now]
         older, newer = newer, layer
-        if repeats == 2 and t < t_cap:
-            # B reads only the layer two before, so both parities stay at
-            # their float64 fixed point through t_cap: horizons t + 2,
-            # t + 4, ... reuse horizon t's row, t + 1, t + 3, ... t - 1's
-            index[t + 1 : t_cap : 2] = index[t - 1]
-            index[t : t_cap : 2] = index[t - 2]
-            if (t_cap - t) % 2:
-                older, newer = newer, older
+        p = 2 if repeats == 2 else 4 if cycles == 2 else 0
+        if p and t < t_cap:
+            # B reads only the layer two before, so once layers t - 1 and t
+            # repeat the ones p before them, every horizon through t_cap
+            # reuses the row of the horizon p before: p = 2 at B's float64
+            # fixed point, p = 4 where each parity cycles between two
+            # layers. The sweep goes on from t_cap - 1 and t_cap, whose
+            # layers are those of t - 3 .. t in the same residue mod 4 (a
+            # period of 2 is one of 4 too)
+            for i in range(1, p + 1):
+                index[t + i - 1 : t_cap : p] = index[t + i - 1 - p]
+            older, newer = (np.frombuffer(seen[(t_cap - t - k) % 4]).copy() for k in (2, 1))
             t = t_cap
         t += 1
 

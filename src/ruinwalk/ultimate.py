@@ -335,22 +335,25 @@ def _head(tag: CaseTag, row: list[int], free: list[int], rhs: int) -> list[int]:
 # ---- coefficient sequences ----
 
 
-def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int) -> tuple[list[list[int]], int]:
+def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int,
+               margin: bool = True) -> tuple[list[list[int]], int]:
     """The coefficient sequences up to index n_max as integers scaled by
     2^bits, in the order of ``_free_indices`` with the margin's last, and
-    bits.
+    bits. With ``margin`` false the margin's sequence is not built: the
+    conjecture probes read only the free coefficients.
 
     Each is the forward recurrence run from the head of one unit vector
     over the free values (margin 0), or of the zero vector with margin 1,
     bits being the budget ``_budget`` sets for n_max. If the realized
-    magnitudes still get within 64 bits of that budget, NumericalError is
-    raised.
+    magnitudes of the sequences returned still get within 64 bits of that
+    budget, NumericalError is raised.
     """
     free = _free_indices(tag)
     bits = _budget(model, tag, n_max)
     one = 1 << bits
     heads = [_head(tag, at.row, [one if i == k else 0 for k in free], 0) for i in free]
-    heads.append(_head(tag, at.row, [0] * len(free), one << at.e))
+    if margin:
+        heads.append(_head(tag, at.row, [0] * len(free), one << at.e))
     seqs = [_forward(at, tag.min_s_atom, h, n_max) for h in heads]
     top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
     if top_mag > bits - 64:

@@ -278,6 +278,17 @@ def test_raw_cells_match_repr_on_a_sweep():
     # repr: random bits and short decimals take the array path
     for part in (parts[0], parts[-1]):
         assert not cli._shortest(part[(part >= 1e-4) & (part < 10)])[2].any()
+    # so do the powers of ten and their neighbours, among them these
+    # doubles just below 10^-3, 10^-2 and 10^-1, whose log10 numpy rounds
+    # up to the power of ten
+    near = parts[6][(parts[6] >= 1e-4) & (parts[6] < 10)]
+    assert not cli._shortest(near)[2].any()
+    below = np.array([0.0009999999999999996, 0.0009999999999999998, 0.009999999999999995,
+                      0.009999999999999997, 0.009999999999999998, 0.09999999999999998,
+                      0.09999999999999999])
+    assert np.isin(below, near).all() and not cli._shortest(below)[2].any()
+    got = cli._raw_cells(below, np.full(below.size, ord(","), np.uint8)).decode()
+    assert got.split(",")[:-1] == list(map(repr, below.tolist()))
     ends = np.full(values.size, ord(","), np.uint8)
     for start in range(0, values.size, cli._RAW_BLOCK):
         cells = values[start : start + cli._RAW_BLOCK]

@@ -165,6 +165,33 @@ def test_planted_zero_is_reported_not_certified(monkeypatch, capsys, ex2):
                           f"violation global: {uncertified}"]
 
 
+def test_probes_build_only_the_free_sequences(monkeypatch, ex1, ex2, ex3):
+    # the traces and the chain read only the free coefficients, so they
+    # skip the margin's sequence; a solve builds it too, dim + 1 in all
+    import ruinwalk.ultimate as ultimate
+
+    forward, calls = ultimate._forward, []
+
+    def spy(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(ultimate, "_forward", spy)
+    for run, want in ((lambda: determinant_trace(ex1, which=1, n_max=10), 3),
+                      (lambda: determinant_trace(ex2, which=2, n_max=10), 2),
+                      (lambda: coefficient_chain(ex3, n_max=10), 1),
+                      (lambda: solve_initials(ex1), 4),
+                      (lambda: solve_initials(ex2), 3),
+                      (lambda: solve_initials(ex3), 2)):
+        calls.clear()
+        run()
+        assert len(calls) == want
+    for model in (ex1, ex2, ex3):
+        args = model, classify(model), _Atoms(model), 20
+        seqs, bits = _sequences(*args)
+        assert _sequences(*args, False) == (seqs[:-1], bits)
+
+
 def _plant_chain(monkeypatch, edit):
     """Edit the free coefficient sequence ``coefficient_chain`` reads."""
     sequences = conjectures._sequences

@@ -166,6 +166,12 @@ def balance_calls(monkeypatch):
 _DYADIC = ("pmf:0.375,0.375,0.125,0.0625,0.0625", "pmf:0.125,0.375,0.25,0.125,0.125")
 _TWO_POINTS = ("pmf:0.26953125,0.3232421875,0.2109375,0.1962890625",
                "pmf:0.08203125,0.451171875,0.1767578125,0.2900390625")
+# lossless, R finite: its float64 layers never reach a fixed point, but
+# from horizon 199 on each parity cycles between two layers, so layer T
+# equals layer T - 4 and not layer T - 2
+_CYCLE = ("pmf:0.29320107506563914,0.026964819706116316,0.2654598178250586,"
+          "0.11558108200908973,0.2987932053940962",
+          "pmf:0.2990006975812403,0.7009993024187596")
 
 
 @pytest.mark.parametrize(
@@ -180,13 +186,17 @@ _TWO_POINTS = ("pmf:0.26953125,0.3232421875,0.2109375,0.1962890625",
         (*_TWO_POINTS, 30, 2000, True),
         # no s atom above 4: R = inf
         ("pmf:0.5,0,0.5", "pmf:0.25,0.5,0.25", 30, 2000, True),
+        # a period-4 cycle: the four t_max cover each residue of t_cap - t
+        # mod 4, so the sweep past t_cap restarts from each of its layers
+        *((*_CYCLE, u, t, True) for u in (0, 30) for t in range(2000, 2004)),
         # truncated: the far value shrinks every layer, no fixed point
         ("dpois:1,0", "dpois:2,0", 30, 2000, False),
         # no tail: the window is never capped, so t_cap < 2
         ("pmf:0,0.6666666666666666,0,0.3333333333333334", "pmf:0,1e-100,1", 30, 300, False),
     ],
     ids=["dyadic-0-1999", "dyadic-0-2000", "dyadic-30-1999", "dyadic-30-2000",
-         "two-points-0-2001", "two-points-30-2000", "R.inf", "truncated", "no-tail"],
+         "two-points-0-2001", "two-points-30-2000", "R.inf",
+         *(f"cycle-{u}-{t}" for u in (0, 30) for t in range(2000, 2004)), "truncated", "no-tail"],
 )
 def test_fixed_point_stop_is_exact(x, y, u_max, t_max, stops, balance_calls):
     m = ModelSpec(x=parse_pmf_spec(x), y=parse_pmf_spec(y))
@@ -207,6 +217,13 @@ def test_fixed_point_stop_work_stays_flat(balance_calls):
         survival_finite(m, u_max=30, t_max=t_max)
         counts.append(len(balance_calls))
     assert counts[0] == counts[1] < 4000 - 1
+
+
+def test_cycle_model_has_period_four():
+    # _CYCLE's layers repeat the ones four horizons back, not two
+    m = ModelSpec(x=parse_pmf_spec(_CYCLE[0]), y=parse_pmf_spec(_CYCLE[1]))
+    want, _ = _full_sweep_reference(m, 30, 2000)
+    assert (want[:, -9] == want[:, -5]).all() and (want[:, -9] != want[:, -7]).any()
 
 
 def test_argument_checks(ex1):
@@ -365,6 +382,9 @@ def test_mc_matches_per_period_reference(ex1, monkeypatch):
         (ModelSpec(x=lossy, y=truncated), 2, 6, 20000, 3),
         (ModelSpec(x=truncated, y=lossy), 0, 9, 7001, 8),
         (dyadic, 1, 11, 6000, 2**100),
+        # t = 1 over several chunks and ranges: one-draw rows
+        (ex1, 0, 1, 200_001, 3),
+        (ModelSpec(x=truncated, y=ex1.y), 0, 1, 70_001, 11),
     ]
     for _ in range(8):
         m = random_model(rng)
@@ -378,7 +398,9 @@ def test_mc_matches_per_period_reference(ex1, monkeypatch):
     # a budget of 32 draws per chunk: many trials per chunk at t <= 32,
     # time blocks of one trial beyond
     monkeypatch.setattr(finite, "_MC_CHUNK_DOUBLES", 1 << 9)
-    for m, u, t, trials, seed in cases[:3] + cases[4:7] + [(ex1, 2, 101, 300, 4), (ex1, 0, 64, 99, 6)]:
+    # (t = 33 ends each trial on a one-draw time block)
+    for m, u, t, trials, seed in cases[:3] + cases[4:7] + [(ex1, 2, 101, 300, 4), (ex1, 0, 64, 99, 6),
+                                                           (ex1, 2, 33, 300, 4)]:
         want = _per_period_reference(m, u, t, trials, seed)
         got = mc_estimate(m, u=u, t=t, trials=trials, seed=seed)
         assert (got.estimate, got.stderr) == want, (u, t, trials, seed)
