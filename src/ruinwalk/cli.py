@@ -488,17 +488,15 @@ def _cmd_conjecture(ns) -> int:
     den = 1 << trace.scale
     rows = [[str(n), _fmt_det(d, den, ns.raw)] for n, d in enumerate(trace.numerators)]
     _emit_table(header, rows, ns.format)
-    for text in (
+    notes = [
         f"min_abs: {trace.min_abs:.6e}",
         f"abs_monotone: {'yes' if trace.abs_monotone else 'no'}",
         f"zero_count: {len(trace.zero_indices)}",
         f"precision_bits: {trace.precision_bits}",
         f"violations: {len(trace.violations)}",
-    ):
-        print(_note(text, ns.format))
-    for n, desc in trace.violations:
-        where = f"n={n}" if n >= 0 else "global"
-        print(_note(f"violation {where}: {desc}", ns.format))
+    ]
+    notes += [f"violation {f'n={n}' if n >= 0 else 'global'}: {desc}" for n, desc in trace.violations]
+    sys.stdout.write("".join(_note(text, ns.format) + "\n" for text in notes))
     return 0
 
 

@@ -36,13 +36,19 @@ single coefficient sequence, probed by ``coefficient_chain``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InvalidModelError
 from .model import CaseKind, ModelSpec, classify
 from .ultimate import N_SOLVE_CAP, _Atoms, _det, _difference_rows, _sequences
 
 _LOG10_2 = math.log10(2)
+_FLOAT_TINY = sys.float_info.min
+# units of the 17th significant digit around an 8-digit tie that send
+# ``_sig8`` to the exact route: 12 of float64 rounding, 4 to spare
+_TIE_GUARD = 16
 
 
 @dataclass(frozen=True)
@@ -85,17 +91,48 @@ def _round_sig(num: int, den: int, places: int) -> tuple[str, int]:
     return digits, k
 
 
-def _nstr(num: int, scale: int) -> str:
-    """num / 2^scale as short text: the value rounded to 64 bits (nearest,
-    ties to even), then to 8 significant digits (half up), in fixed point
-    when the leading digit's exponent k has -5 < k < 8, else as d.ddde+k,
-    trailing zeros trimmed down to one."""
+def _sig8_exact(num: int, scale: int) -> tuple[str, int]:
+    """``_round_sig``'s (digits, k) of num / 2^scale rounded to 64 bits
+    (nearest, ties to even), then to 8 significant digits (half up)."""
     n = abs(num)
     drop = max(n.bit_length() - 64, 0)
     if drop:
         q, rest, half = n >> drop, n & ((1 << drop) - 1), 1 << drop - 1
         n = q + (rest > half or (rest == half and q & 1))
-    digits, k = _round_sig(n << max(drop - scale, 0), 1 << max(scale - drop, 0), 8)
+    return _round_sig(n << max(drop - scale, 0), 1 << max(scale - drop, 0), 8)
+
+
+def _sig8(num: int, scale: int) -> tuple[str, int]:
+    """``_sig8_exact``, read off the float64 text where that is safe.
+
+    The float and the 64-bit value lie within 2^-53 of each other,
+    relatively: under 12 units of the float's 17th significant digit. So
+    in float64's normal range the two round to the same 8 digits unless
+    the digits past the 8th lie within _TIE_GUARD units of a tie. Those,
+    and values out of that range, take the exact route."""
+    try:
+        v = abs(num) / (1 << scale)
+    except OverflowError:
+        v = math.inf
+    if _FLOAT_TINY <= v < math.inf:
+        text = f"{v:.16e}"  # d.ddddddd|ddddddddde+kk
+        past = int(text[9:18]) - 500_000_000
+        if abs(past) > _TIE_GUARD:
+            digits, k = text[0] + text[2:9], int(text[19:])
+            if past > 0:
+                digits = str(int(digits) + 1)
+                if len(digits) > 8:  # the rounding carried to 10^8
+                    digits, k = digits[:8], k + 1
+            return digits, k
+    return _sig8_exact(num, scale)
+
+
+def _nstr(num: int, scale: int) -> str:
+    """num / 2^scale as short text: the value rounded to 64 bits (nearest,
+    ties to even), then to 8 significant digits (half up), in fixed point
+    when the leading digit's exponent k has -5 < k < 8, else as d.ddde+k,
+    trailing zeros trimmed down to one."""
+    digits, k = _sig8(num, scale)
     if -5 < k < 8:
         text = f"0.{'0' * (-k - 1)}{digits}" if k < 0 else f"{digits[: k + 1]}.{digits[k + 1 :]}"
         exp = ""
@@ -112,7 +149,7 @@ def _suspicious(det: int, rows, bits: int) -> bool:
     could be pure cancellation noise at this precision. ``rows`` are
     integers scaled by 2^bits and det their determinant, so bit lengths
     stand in for magnitudes."""
-    top = max((v.bit_length() for row in rows for v in row), default=0)
+    top = max(map(abs, chain.from_iterable(rows)), default=0).bit_length()
     return det == 0 or det.bit_length() < len(rows) * top - (bits - 48)
 
 

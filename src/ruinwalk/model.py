@@ -17,6 +17,7 @@ point-mass patterns with E[s] = 4 exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -60,6 +61,18 @@ class ModelSpec:
         runs; the precision budget and the Lundberg tail both read them.
         A subnormal first positive s atom raises NumericalError: np.roots
         divides by it, which overflows float64.
+
+        The trailing run of coefficients at most 2^-52 of the largest (the
+        far claim sums s_k, the lowest powers of z) is dropped before
+        np.roots: it lies inside the backward error the companion
+        eigen-solve commits anyway (Edelman and Murakami 1995), it only
+        moves the small roots of fast-dying modes, and among the 10-12
+        such coefficients of a truncated Poisson pair the solve loses the
+        Lundberg root (ROADMAP D11). A leading coefficient is never
+        dropped, however small: it sets the pivot's growth mode. With
+        nothing dropped (every dyadic model) the call is np.roots on the
+        whole polynomial. Otherwise each real root in (0, 1) is polished
+        on the whole polynomial (``_polish``).
         """
         s = self.s
         coeffs = np.zeros(max(s.support_max, INCOME_PER_PAIR) + 1)
@@ -74,7 +87,90 @@ class ModelSpec:
                 f"the first positive s atom s_{m} = {float(coeffs[m])!r} is subnormal; "
                 "the balance recurrence's roots overflow float64"
             )
-        return np.roots(coeffs)
+        # the largest coefficient is kept, so the cut never reaches s_m
+        big = np.flatnonzero(np.abs(coeffs) > 2.0**-52 * np.abs(coeffs).max())
+        z = np.roots(coeffs[: big[-1] + 1])
+        if big[-1] + 1 < len(coeffs):
+            full = coeffs[m:].tolist()
+            real = np.flatnonzero((z.imag == 0) & (z.real > 0) & (z.real < 1))
+            z[real] = [_polish(full, r) for r in z.real[real].tolist()]
+        return z
+
+
+def _horner(c: list[float], z: float) -> tuple[float, float]:
+    """The polynomial c (highest power first) and its derivative at z, in
+    float64 by Horner's rule."""
+    p = dp = 0.0
+    for a in c:
+        dp = dp * z + p
+        p = p * z + a
+    return p, dp
+
+
+def _fine_at(c: list[float], z: float) -> float:
+    """The polynomial c (highest power first) at z, within 2^-110 of
+    sum_k |c_k| z^(N-k), where float64's own Horner rule rounds at about
+    2^-53 of it. Horner's rule runs on integers scaled by 2^f, truncating
+    each coefficient and product to a unit, so it errs by under 2 units
+    per coefficient. c's entries lie in [-1, 1], so f is capped at 1000,
+    inside float64's exponent range."""
+    size = _horner([abs(a) for a in c], z)[0]
+    f = min(113 + len(c).bit_length() - math.frexp(size)[1], 1000)
+    zn, zd = z.as_integer_ratio()
+    g = zd.bit_length() - 1
+    acc = 0
+    for t in np.ldexp(c, f).tolist():
+        acc = (acc * zn >> g) + int(t)
+    return acc / (1 << f)
+
+
+def _polish(c: list[float], z: float) -> float:
+    """The root of the polynomial c next to z in (0, 1), to float64's
+    resolution.
+
+    Newton steps on ``_horner`` are kept inside a bracket over which c
+    changes sign, bisecting where a step would leave it, until a step no
+    longer moves the root. The bracket runs from z to twice the first
+    Newton step, doubled while c keeps its sign, and must stay inside
+    (0, 1): a sign change there is the Lundberg root's, never the unit
+    mode's, and z is often far from it, up to 1e-3 relative, when the cut
+    coefficients weigh on a small root. With no such bracket z comes back
+    as it was. Where the roundings of Horner's rule hide the sign of c, a
+    few ulps around a root of small slope, one last Newton step on a finer
+    value (``_fine_at``) lands on the root within about an ulp.
+    """
+    p, dp = _horner(c, z)
+    if not p or not dp:
+        return z
+    step = -2 * p / dp
+    while True:
+        b = z + step
+        if not 0 < b < 1:
+            return z
+        if (_horner(c, b)[0] < 0) != (p < 0):
+            break
+        step *= 2
+    lo, hi = min(z, b), max(z, b)
+    lo_neg = (p < 0) == (lo == z)  # the sign of c at lo
+    x = z - p / dp
+    for _ in range(200):  # bisection alone ends in about 60
+        px, dx = _horner(c, x)
+        if not px or not dx:
+            return x
+        if (px < 0) == lo_neg:
+            lo = x
+        else:
+            hi = x
+        nx = x - px / dx
+        if nx == x:
+            break
+        if not lo < nx < hi:
+            nx = 0.5 * (lo + hi)
+            if not lo < nx < hi:
+                break
+        x = nx
+    nx = x - _fine_at(c, x) / dx
+    return nx if 0 < nx < 1 else x
 
 
 def _forcing(model: ModelSpec, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from ruinwalk import (
     net_profit_margin,
 )
 from ruinwalk.model import CaseKind
+from ruinwalk.reference_tables import ALL_TABLES
 
 # decaying weight profile biases mass toward small claims
 _DECAY = np.array([1.0, 0.6, 0.35, 0.2, 0.1, 0.05])
@@ -79,6 +80,42 @@ def random_case_model(rng, kind, scenario=None, support_max=5, min_margin=0.2):
             continue
         return model
     raise RuntimeError(f"could not draw a case {kind}/{scenario} model")
+
+
+def balance_coeffs(model):
+    """The balance polynomial sum_k s_k z^(D-k) - z^(D-4), highest power
+    first, trailing zeros trimmed: what ``ModelSpec.balance_roots`` solves."""
+    s = model.s
+    c = np.zeros(max(s.support_max, 4) + 1)
+    c[: s.support_max + 1] = s.probs
+    c[4] -= 1.0
+    return np.trim_zeros(c, "b")
+
+
+def whole_roots_model(model):
+    """A copy of ``model`` whose balance roots are np.roots on the whole
+    polynomial, none of its coefficients cut."""
+    whole = ModelSpec(x=model.x, y=model.y)
+    whole.__dict__["balance_roots"] = np.roots(balance_coeffs(model))
+    return whole
+
+
+def random_dpois_model(rng):
+    """Displaced Poisson seasons: rates 0.1-2.5, shifts 0-2, tail_tol
+    1e-6 to 1e-18."""
+    def season():
+        return make_displaced_poisson(rng.uniform(0.1, 2.5), int(rng.integers(0, 3)),
+                                      tail_tol=10.0 ** -rng.uniform(6, 18))
+    return ModelSpec(x=season(), y=season())
+
+
+@pytest.fixture(scope="session")
+def tight_tail_models():
+    """The models of tables 1-4 at tail_tol 1e-12 to 1e-30, keyed by
+    (table name, e) for tail_tol 10^-e."""
+    return {(t.name, e): ModelSpec(x=make_displaced_poisson(t.x_lam, t.x_shift, 10.0**-e),
+                                   y=make_displaced_poisson(t.y_lam, t.y_shift, 10.0**-e))
+            for t in ALL_TABLES[:4] for e in range(12, 31)}
 
 
 def spanning_case_models(rng, per_pattern=2):

@@ -373,6 +373,19 @@ def test_ultimate_past_solve_cap(capsys):
     assert np.max(np.abs(phi - boundary_oracle(m, u_max=2100, u_big=3000))) < 1e-12
 
 
+def test_ultimate_past_solve_cap_at_a_tight_tail_tol(capsys):
+    # ROADMAP D11: at tail_tol 1e-21 the Lundberg root was lost, R came
+    # out as 2.65e-12 and the solve index ran past the cap (exit 3)
+    from ruinwalk import ModelSpec, boundary_oracle, make_displaced_poisson
+
+    code, out, err = run(capsys, "ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0",
+                         "--tail-tol", "1e-21", "--u-max", "2100", "--raw", "--format", "csv")
+    assert code == 0 and err == ""
+    phi = np.array([float(c) for c in out.splitlines()[1].split(",")[1:]])
+    m = ModelSpec(x=make_displaced_poisson(1.0, 0, 1e-21), y=make_displaced_poisson(2.0, 0, 1e-21))
+    assert np.max(np.abs(phi - boundary_oracle(m, u_max=2100, u_big=3000))) < 1e-12
+
+
 # a few values a row can hold, each next to its float64 neighbours where
 # those format differently: signed zeros, NaNs of two payloads, both
 # infinities, and rounding boundaries of --digits

@@ -1,6 +1,7 @@
 """Unit tests for model assembly and case classification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ruinwalk import (
     point_mass,
 )
 from ruinwalk.model import CaseKind
+from conftest import balance_coeffs, random_dpois_model, random_model
 
 
 def test_premium_is_pinned():
@@ -110,3 +112,72 @@ def test_margin_matches_hand_sum(ex1):
     s = ex1.s
     hand = 4.0 - sum(u * s.p(u) for u in range(s.support_max + 1))
     assert math.isclose(net_profit_margin(ex1), hand, rel_tol=1e-12)
+
+
+def _nothing_cut(c):
+    """True when no coefficient lies at or below 2^-52 of the largest."""
+    a = np.abs(c[c != 0])
+    return a.min() > 2.0**-52 * a.max()
+
+
+def test_balance_roots_whole_when_nothing_is_cut():
+    """With no coefficient below the cut, ``balance_roots`` is np.roots on
+    the whole polynomial, bit for bit: dyadic models (multiples of 2^-16,
+    as the benchmark's explicit models) and random explicit ones."""
+    rng = np.random.default_rng(2801)
+    models = []
+    for _ in range(60):
+        size = int(rng.integers(2, 12))
+        x, y = (rng.multinomial(1 << 16, rng.dirichlet(np.ones(size))) / (1 << 16) for _ in range(2))
+        if x.sum() == 1 == y.sum():
+            models.append(ModelSpec(x=from_probs(x), y=from_probs(y)))
+    dyadic = len(models)
+    models += [random_model(rng, support_max=int(rng.integers(1, 9))) for _ in range(100)]
+    checked = 0
+    for i, m in enumerate(models):
+        c = balance_coeffs(m)
+        if not _nothing_cut(c):
+            assert i >= dyadic, "a dyadic model had a coefficient cut"
+            continue
+        whole = np.roots(c)
+        assert m.balance_roots.dtype == whole.dtype
+        assert m.balance_roots.tobytes() == whole.tobytes()
+        checked += 1
+    assert dyadic >= 50 and checked >= 140
+
+
+def _exact_value(c, z):
+    value = Fraction(0)
+    for a in c:
+        value = value * Fraction(z) + Fraction(a)
+    return value
+
+
+def _brackets_exact_root(c, z, ulps=4):
+    """The whole polynomial, evaluated exactly, changes sign within
+    ``ulps`` ulps of z."""
+    w = ulps * math.ulp(z)
+    return (_exact_value(c, z - w) > 0) != (_exact_value(c, z + w) > 0)
+
+
+def test_polished_lundberg_root_brackets_the_exact_root(tight_tail_models):
+    """Where coefficients are cut, the root in (0, 1) that sets R is
+    polished on the whole polynomial to within 4 ulps of its exact root.
+    np.roots on the whole polynomial missed it by up to 2e-7 relative,
+    or lost it (ROADMAP D11). Tables 1-4 at tail_tol 1e-12 to 1e-30, and
+    seeded displaced Poisson pairs with a net profit."""
+    rng = np.random.default_rng(2803)
+    models = list(tight_tail_models.values())
+    models += [m for m in (random_dpois_model(rng) for _ in range(150))
+               if classify(m).kind != CaseKind.NO_NET_PROFIT]
+    checked = 0
+    for m in models:
+        c = balance_coeffs(m)
+        if _nothing_cut(c):
+            continue
+        z = m.balance_roots
+        z = z.real[(z.imag == 0) & (z.real > 0) & (z.real < 1)]
+        assert z.size, m
+        assert _brackets_exact_root(c, float(z.min())), m
+        checked += 1
+    assert checked >= 100

@@ -30,8 +30,9 @@ from ruinwalk.cli import main
 from ruinwalk.model import INCOME_PER_PAIR, PREMIUM_PER_PERIOD, CaseKind
 from ruinwalk.pmf import parse_pmf_spec
 from ruinwalk.reference_tables import ALL_TABLES
-from ruinwalk.ultimate import _free_indices, _lundberg_tail
-from conftest import random_case_model, random_model
+from ruinwalk.finite import survival_finite
+from ruinwalk.ultimate import _budget, _free_indices, _lundberg_tail, _mgf, _solve_index
+from conftest import random_case_model, random_dpois_model, random_model, whole_roots_model
 
 
 # --- coefficient sequences ---
@@ -535,6 +536,58 @@ def test_lundberg_tail_matches_parent_loop():
         assert got == _parent_lundberg_tail(m)
         lowered += 0 < got[0] < math.inf
     assert lowered >= 100
+
+
+def test_lundberg_root_at_tight_tail_tol(tight_tail_models):
+    """ROADMAP D11: with 10-12 coefficients below float64's resolution,
+    np.roots on the whole polynomial lost the Lundberg root of tables 1-4
+    at 23 of these 76 tail_tol values and took the unit mode, giving R
+    near 3e-12. Cut first, it finds R at every one, within 1e-4 of the
+    1e-15 value, and E[e^(R(S-4))] <= 1 holds in float64."""
+    for (name, e), m in tight_tail_models.items():
+        r = _lundberg_tail(m)[0]
+        ref = _lundberg_tail(tight_tail_models[name, 15])[0]
+        assert r > 0 and abs(r - ref) <= 1e-4 * ref, (name, e, r, ref)
+        assert _mgf(m.s, INCOME_PER_PAIR)(r) <= 1, (name, e)
+
+
+def test_tight_tail_tol_costs_what_a_loose_one_does(tight_tail_models):
+    """Table 1 at tail_tol 1e-21 (D11) solves at the index and precision
+    it uses at 1e-20, and its finite grid reaches its float64 fixed point
+    early instead of storing all 10^5 horizons (159 s before)."""
+    rows = {e: survival_ultimate(tight_tail_models["table-1", e], u_max=600) for e in (20, 21)}
+    assert (rows[21].n_solve, rows[21].precision_bits) == (rows[20].n_solve, rows[20].precision_bits)
+    assert (rows[21].n_solve, rows[21].precision_bits) == (83, 287)
+    grid = survival_finite(tight_tail_models["table-1", 21], u_max=30, t_max=10**5)
+    assert len(grid.rows) < 1000
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def test_cut_roots_keep_budget_and_solve_index():
+    """The roots after the cut give ``_budget`` (n = 100, 600) and
+    ``_solve_index`` the values np.roots on the whole polynomial gives,
+    over seeded displaced Poisson pairs with a net profit."""
+    rng = np.random.default_rng(2804)
+    checked = 0
+    for _ in range(300):
+        m = random_dpois_model(rng)
+        tag = classify(m)
+        if tag.kind not in (CaseKind.A, CaseKind.B, CaseKind.C):
+            continue
+        whole = whole_roots_model(m)
+        for reach in (50, 600):
+            got = _outcome(_solve_index, m, tag, _lundberg_tail(m), reach)
+            assert got == _outcome(_solve_index, whole, tag, _lundberg_tail(whole), reach)
+        for n in (100, 600):
+            assert _budget(m, tag, n) == _budget(whole, tag, n)
+        checked += 1
+    assert checked >= 80
 
 
 # x against y = pmf:0,eps,1 has the balance roots z = 1/2 and 1 as eps
