@@ -36,7 +36,6 @@ single coefficient sequence, probed by ``coefficient_chain``.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -45,7 +44,7 @@ from .model import CaseKind, ModelSpec, classify
 from .ultimate import N_SOLVE_CAP, _Atoms, _det, _difference_rows, _sequences
 
 _LOG10_2 = math.log10(2)
-_FLOAT_TINY = sys.float_info.min
+_FLOAT_TINY = 2.0**-1022  # float64's least normal
 # units of the 17th significant digit around an 8-digit tie that send
 # ``_sig8`` to the exact route: 12 of float64 rounding, 4 to spare
 _TIE_GUARD = 16

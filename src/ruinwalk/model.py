@@ -88,9 +88,10 @@ class ModelSpec:
                 "the balance recurrence's roots overflow float64"
             )
         # the largest coefficient is kept, so the cut never reaches s_m
-        big = np.flatnonzero(np.abs(coeffs) > 2.0**-52 * np.abs(coeffs).max())
-        z = np.roots(coeffs[: big[-1] + 1])
-        if big[-1] + 1 < len(coeffs):
+        size = np.abs(coeffs)
+        keep = int(np.flatnonzero(size > 2.0**-52 * size.max())[-1]) + 1
+        z = np.roots(coeffs[:keep])
+        if keep < len(coeffs):
             full = coeffs[m:].tolist()
             real = np.flatnonzero((z.imag == 0) & (z.real > 0) & (z.real < 1))
             z[real] = [_polish(full, r) for r in z.real[real].tolist()]
@@ -132,8 +133,8 @@ def _polish(c: list[float], z: float) -> float:
     changes sign, bisecting where a step would leave it, until a step no
     longer moves the root. The bracket runs from z to twice the first
     Newton step, doubled while c keeps its sign, and must stay inside
-    (0, 1): a sign change there is the Lundberg root's, never the unit
-    mode's, and z is often far from it, up to 1e-3 relative, when the cut
+    (0, 1), so the unit mode, at 1 or just past it, cannot capture it. z
+    can lie far from the root, up to 1e-3 relative, when the cut
     coefficients weigh on a small root. With no such bracket z comes back
     as it was. Where the roundings of Horner's rule hide the sign of c, a
     few ulps around a root of small slope, one last Newton step on a finer
@@ -155,8 +156,10 @@ def _polish(c: list[float], z: float) -> float:
     x = z - p / dp
     for _ in range(200):  # bisection alone ends in about 60
         px, dx = _horner(c, x)
-        if not px or not dx:
+        if not dx:
             return x
+        if not px:
+            break
         if (px < 0) == lo_neg:
             lo = x
         else:

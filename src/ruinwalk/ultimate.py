@@ -191,12 +191,15 @@ def _lundberg_tail(model: ModelSpec) -> tuple[float, float, float]:
     gives, and a defect placed just past the support of y only lowers
     E[e^(R(Y-2))], which raises C. R starts at the least real root
     z = e^-R in (0, 1) of ``ModelSpec.balance_roots`` (the unit mode
-    z = 1 can come out just under 1; the Lundberg root is found after the
-    far coefficients below float64's resolution are cut, and polished on
-    the whole polynomial, so it is not lost among them) and is lowered
-    until a float64 evaluation shows E[e^(R(S-4))] <= 1. That lowering,
-    not the root, is what makes the bound hold: any smaller R keeps it.
-    Without such a root R = 0 and u* = inf: no tail.
+    z = 1 can come out just under 1). Those roots come from the
+    polynomial with its trailing coefficients at most 2^-52 of the
+    largest cut, so the Lundberg root is not lost among them, and are
+    polished on the whole polynomial; leading coefficients are never cut,
+    however small, as they set the pivot's growth mode that ``_budget``
+    reads. R is lowered until a float64 evaluation shows
+    E[e^(R(S-4))] <= 1. That lowering, not the root, is what makes the
+    bound hold: any smaller R keeps it. Without such a root R = 0 and
+    u* = inf: no tail.
 
     With no s atom above 4 the pair-boundary surplus never falls, so ruin
     needs one claim x >= u + 2 in mid-pair: psi(u) = 0 from
