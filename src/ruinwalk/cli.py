@@ -439,7 +439,7 @@ def _cmd_ultimate(ns) -> int:
     bits = "none" if result.precision_bits is None else str(result.precision_bits)
     tail = ["none" if v is None else format(v, ".6g")
             for v in (result.lundberg_r, result.lundberg_c, result.reach)]
-    for text in (
+    notes = (
         f"case: {_case_str(result.case)}",
         f"margin: {result.margin:.12g}",
         f"n_solve: {result.n_solve}",
@@ -450,8 +450,8 @@ def _cmd_ultimate(ns) -> int:
         f"lundberg_r: {tail[0]}",
         f"lundberg_c: {tail[1]}",
         f"reach: {tail[2]}",
-    ):
-        print(_note(text, ns.format))
+    )
+    sys.stdout.write("".join(_note(text, ns.format) + "\n" for text in notes))
     return 0
 
 

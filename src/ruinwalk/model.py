@@ -70,32 +70,58 @@ class ModelSpec:
         such coefficients of a truncated Poisson pair the solve loses the
         Lundberg root (ROADMAP D11). A leading coefficient is never
         dropped, however small: it sets the pivot's growth mode. With
-        nothing dropped (every dyadic model) the call is np.roots on the
-        whole polynomial. Otherwise each real root in (0, 1) is polished
-        on the whole polynomial (``_polish``).
+        nothing dropped (every dyadic model) the roots are np.roots' on
+        the whole polynomial, bit for bit (``_companion_roots``).
+        Otherwise each real root in (0, 1) is polished on the whole
+        polynomial (``_polish``).
         """
         s = self.s
         coeffs = np.zeros(max(s.support_max, INCOME_PER_PAIR) + 1)
         coeffs[: s.support_max + 1] = s.probs
         coeffs[INCOME_PER_PAIR] -= 1.0
-        # np.roots drops the leading zeros (s_k = 0 below the first
-        # positive atom) itself; trailing ones would come back as roots 0
-        coeffs = np.trim_zeros(coeffs, "b")
-        m = int(np.flatnonzero(coeffs)[0])
+        # strip the leading zeros (s_k = 0 below the first positive atom),
+        # as np.roots does, and the trailing ones, which would come back
+        # as roots 0
+        nonzero = np.flatnonzero(coeffs)
+        m = int(nonzero[0])
         if abs(coeffs[m]) < np.finfo(np.float64).tiny:
             raise NumericalError(
                 f"the first positive s atom s_{m} = {float(coeffs[m])!r} is subnormal; "
                 "the balance recurrence's roots overflow float64"
             )
+        full = coeffs[m : int(nonzero[-1]) + 1]
         # the largest coefficient is kept, so the cut never reaches s_m
-        size = np.abs(coeffs)
+        size = np.abs(full)
         keep = int(np.flatnonzero(size > 2.0**-52 * size.max())[-1]) + 1
-        z = np.roots(coeffs[:keep])
-        if keep < len(coeffs):
-            full = coeffs[m:].tolist()
+        z = _companion_roots(full[:keep])
+        if keep < len(full):
+            c = full.tolist()
             real = np.flatnonzero((z.imag == 0) & (z.real > 0) & (z.real < 1))
-            z[real] = [_polish(full, r) for r in z.real[real].tolist()]
+            z[real] = [_polish(c, r) for r in z.real[real].tolist()]
         return z
+
+    @cached_property
+    def root_rates(self) -> np.ndarray:
+        """log2 |z| of the nonzero ``balance_roots``, largest first: the
+        growth rate, in bits per index, of each mode z^n that does not die
+        out. Read-only; the precision budget and the solve index slice it."""
+        z = np.abs(self.balance_roots)
+        rates = np.sort(np.log2(z[z > 0]))[::-1]
+        rates.setflags(write=False)
+        return rates
+
+
+def _companion_roots(p: np.ndarray) -> np.ndarray:
+    """np.roots of p, whose first and last entries are nonzero: the
+    eigenvalues of the same companion matrix, bit for bit and dtype
+    included, without np.roots' stripping and stacking."""
+    n = len(p) - 1
+    if n < 1:
+        return np.array([])
+    a = np.zeros((n, n))
+    a.flat[n :: n + 1] = 1.0
+    a[0] = -p[1:] / p[0]
+    return np.linalg.eigvals(a)
 
 
 def _horner(c: list[float], z: float) -> tuple[float, float]:

@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -57,11 +58,11 @@ class Pmf:
         object.__setattr__(self, "probs", _as_readonly(self.probs))
         if self.probs.ndim != 1 or len(self.probs) == 0:
             raise InvalidModelError("probs must be a nonempty 1-d array")
-        if np.any(self.probs < 0) or not np.all(np.isfinite(self.probs)):
+        if (self.probs < 0).any() or not np.isfinite(self.probs).all():
             raise InvalidModelError("atom probabilities must be finite and >= 0")
         if self.mass_defect < 0 or self.mass_defect > 1:
             raise InvalidModelError(f"mass_defect out of range: {self.mass_defect}")
-        total = math.fsum(self.probs) + self.mass_defect
+        total = math.fsum(self.probs.tolist()) + self.mass_defect
         if abs(total - 1.0) > PMF_SUM_TOL:
             raise InvalidModelError(
                 f"probs + mass_defect must sum to 1, got {total!r}"
@@ -95,7 +96,7 @@ class Pmf:
 
     @cached_property
     def mean_retained(self) -> float:
-        return math.fsum(u * p for u, p in enumerate(self.probs))
+        return math.fsum(map(mul, range(len(self.probs)), self.probs.tolist()))
 
 
 # ---- constructors ----
@@ -113,16 +114,16 @@ def from_probs(values) -> Pmf:
     arr = np.asarray(list(values), dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise InvalidModelError("need at least one atom probability")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    if (arr < 0).any() or not np.isfinite(arr).all():
         raise InvalidModelError("atom probabilities must be finite and >= 0")
-    total = math.fsum(arr)
+    total = math.fsum(arr.tolist())
     if abs(total - 1.0) > EXPLICIT_SUM_TOL:
         raise InvalidModelError(
             f"atom probabilities sum to {total!r}, expected 1 within {EXPLICIT_SUM_TOL}"
         )
     if total - 1.0 > PMF_SUM_TOL:
         arr = arr / total
-        total = math.fsum(arr)
+        total = math.fsum(arr.tolist())
     defect = _shortfall(total, len(arr))
     return Pmf(arr, defect, defect * (len(arr) - 1))
 
@@ -189,7 +190,7 @@ def make_displaced_poisson(lam: float, shift: int, tail_tol: float = 1e-12) -> P
     probs = np.zeros(shift + mode - len(below) + len(kept))
     probs[shift + mode - len(below) :] = np.array(kept) / total
     defect = (tails[drop - 1] if drop else 0.0) / total
-    retained_mean = math.fsum(u * p for u, p in enumerate(probs))
+    retained_mean = math.fsum(map(mul, range(len(probs)), probs.tolist()))
     tail_mean_bound = max(0.0, (lam + shift) - retained_mean)
     return Pmf(probs, defect, tail_mean_bound)
 
@@ -206,7 +207,7 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
     """
     probs = np.convolve(a.probs, b.probs)
     np.clip(probs, 0.0, None, out=probs)
-    total = math.fsum(probs)
+    total = math.fsum(probs.tolist())
     defect = max(0.0, 1.0 - total) if a.mass_defect or b.mass_defect else _shortfall(total, len(probs))
     # E[A+B] - retained mean = (tail of A) + (tail of B) + cross defect terms.
     bound = (

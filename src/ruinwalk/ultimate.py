@@ -101,10 +101,10 @@ N_SOLVE_CAP = 2000
 # ---- exact model views ----
 
 
-def _dyadic(values) -> tuple[list[int], int]:
+def _dyadic(values: np.ndarray) -> tuple[list[int], int]:
     """Float64 values as integers over one power of two: v_i = n_i / 2^a."""
-    ratios = [float(v).as_integer_ratio() for v in values]
-    a = max(d.bit_length() for _, d in ratios) - 1
+    ratios = [v.as_integer_ratio() for v in values.tolist()]
+    a = max(d for _, d in ratios).bit_length() - 1
     return [n << (a - d.bit_length() + 1) for n, d in ratios], a
 
 
@@ -130,12 +130,18 @@ class _Atoms:
 
     X~ the tail of x and S the cdf of s, exactly, as integers over the one
     power 2^e, e = max(es, ex + ey).
+
+    ``ek`` = max(0, ex + ey - es) is the one exponent the x.y steps of the
+    forward recurrence add over 2^es, and ``forcing(m*)`` their x.y
+    coefficients, built once per pivot.
     """
 
     def __init__(self, model: ModelSpec):
         self.x, self.ex = _dyadic(model.x.probs)
         self.y, self.ey = _dyadic(model.y.probs)
         self.s, self.es = _dyadic(model.s.probs)
+        self.ek = max(0, self.ex + self.ey - self.es)
+        self._forcing = {}
         e = self.e = max(self.es, self.ex + self.ey)
         ds, dz = e - self.es, e - self.ex - self.ey
         x0, x1, x2 = (self.x + [0, 0])[:3]
@@ -145,15 +151,30 @@ class _Atoms:
         s0, s1, s2 = accumulate((self.s + [0, 0])[:3])
         self.row = [1 << e, (s2 << ds) + ((xt2 * y0 + xt1 * y1) << dz),
                     (s1 << ds) + ((xt1 * y0) << dz), s0 << ds]
-        self.margin = ((INCOME_PER_PAIR << self.es) - sum(k * v for k, v in enumerate(self.s))) << ds
+        self.margin = ((INCOME_PER_PAIR << self.es) - sum(map(mul, range(len(self.s)), self.s))) << ds
+
+    def forcing(self, m: int) -> list[tuple[int, int]]:
+        """Step u's x.y coefficients (c1, c2) of phi(1) and phi(2) in the
+        forward recurrence with pivot s_m, u = 0..len(x) + 1 - m: c1 is
+        x_{u+m-1} y_0 + x_{u+m-2} y_1 and c2 is x_{u+m-2} y_0, both over
+        2^(es + ek). They vanish once u + m - 2 passes the support of x."""
+        table = self._forcing.get(m)
+        if table is None:
+            y0, y1 = (self.y + [0, 0])[:2]
+            d = self.es + self.ek - self.ex - self.ey
+            xs = [0, 0, *self.x, 0]  # xs[i + 2] = x_i, i = -2..len(x)
+            table = self._forcing[m] = [
+                ((a * y0 + b * y1) << d, (b * y0) << d)
+                for a, b in zip(xs[m + 1 :], xs[m : len(self.x) + 2])]
+        return table
 
 
 def _dominant_rates(model: ModelSpec, tag: CaseTag) -> np.ndarray:
     """Growth rates g_1 >= ... >= g_dim, g = log2|z|, of the dim modes the
     free values excite (dim as in ``_free_indices``): the largest roots z
-    of ``ModelSpec.balance_roots``. A root 0, a mode that dies out, is left out."""
-    z = np.abs(model.balance_roots)
-    return np.sort(np.log2(z[z > 0]))[::-1][: len(_free_indices(tag))]
+    of ``ModelSpec.balance_roots`` (``ModelSpec.root_rates``). A root 0, a
+    mode that dies out, is left out."""
+    return model.root_rates[: len(_free_indices(tag))]
 
 
 def _budget(model: ModelSpec, tag: CaseTag, n: int) -> int:
@@ -268,22 +289,11 @@ def _forward(at: _Atoms, min_atom: int, phi: list[int], stop: int) -> list[int]:
     division is the step's only rounding.
     """
     m = min_atom
-    s, es = at.s, at.es
+    s, es, k = at.s, at.es, at.ek
     smax = len(s) - 1
     s_rev = s[::-1]
-    y0, y1 = (at.y + [0, 0])[:2]
-
-    def x(i):
-        return at.x[i] if 0 <= i < len(at.x) else 0
-
-    # step u's x.y coefficients as (c1, c2): c1 / 2^(es + k) is
-    # x_{u+m*-1} y_0 + x_{u+m*-2} y_1 and c2 / 2^(es + k) is x_{u+m*-2} y_0,
-    # k = max(0, ex + ey - es) the one exponent these steps add; they
-    # vanish once u + m* - 2 passes the support of x
-    k = max(0, at.ex + at.ey - es)
-    d = es + k - at.ex - at.ey
-    forcing = [((x(u + m - 1) * y0 + x(u + m - 2) * y1) << d, (x(u + m - 2) * y0) << d)
-               for u in range(len(at.x) + 2 - m)]
+    # step u's x.y coefficients over 2^(es + k), while u < len(forcing)
+    forcing = at.forcing(m)
 
     # from u0 on no step has an x.y term, and each reads the full window
     # s_{smax}..s_{m*+1} against phi(u - width..u-1)
@@ -361,7 +371,7 @@ def _sequences(model: ModelSpec, tag: CaseTag, at: _Atoms, n_max: int,
     if margin:
         heads.append(_head(tag, at.row, [0] * len(free), one << at.e))
     seqs = [_forward(at, tag.min_s_atom, h, n_max) for h in heads]
-    top_mag = max(v.bit_length() for seq in seqs for v in seq) - bits
+    top_mag = max(max(map(int.bit_length, seq)) for seq in seqs) - bits
     if top_mag > bits - 64:
         raise NumericalError(
             f"coefficients reach 2^{top_mag}, within 64 bits of the {bits}-bit budget"

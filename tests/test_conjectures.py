@@ -294,6 +294,20 @@ def test_nstr_fast_path_matches_the_exact_route():
         cases += [((tie << shift) + d, shift) for d in (-2, -1, 0, 1, 2)]
     for j in range(1, 41):
         cases += [(rng.randrange(1, 1 << 24) | 1, j) for _ in range(500)]
+    # 99999999|d..., the ninth digit d of 6-9 carrying the rounding to
+    # 10^8, at decimal exponents from -300 to 300 and scales 0 to 1100
+    carries = []
+    for exp in (-300, -40, -9, -1, 0, 3, 17, 60, 300):
+        for scale in (0, 1, 53, 200, 1100):
+            for tail in (600_000_001, 734_512_345, 999_999_999):
+                mantissa = 99_999_999 * 10**9 + tail  # 17 digits, times 10^(exp - 16)
+                num = (mantissa * 10 ** max(exp - 16, 0) << scale) // 10 ** max(16 - exp, 0)
+                if num.bit_length() > 64 and num / (1 << scale) >= 2.0**-1022:
+                    carries.append((num, scale))
+    assert len(carries) >= 70
+    for num, scale in carries:
+        assert _sig8(num, scale)[0] == "10000000", (num, scale)
+    cases += carries
     for num, scale in cases:
         num = num if rng.random() < 0.5 else -num
         assert _sig8(num, scale) == _sig8_exact(num, scale), (num, scale)

@@ -122,8 +122,11 @@ def _nothing_cut(c):
 
 def test_balance_roots_whole_when_nothing_is_cut():
     """With no coefficient below the cut, ``balance_roots`` is np.roots on
-    the whole polynomial, bit for bit: dyadic models (multiples of 2^-16,
-    as the benchmark's explicit models) and random explicit ones."""
+    the whole polynomial, bit for bit, and ``root_rates`` are the sorted
+    log2 moduli of its nonzero roots: dyadic models (multiples of 2^-16,
+    as the benchmark's explicit models), the same with x or y shifted up
+    by 1-3 (cases B-D, whose polynomials np.roots strips of leading
+    zeros), and random explicit ones."""
     rng = np.random.default_rng(2801)
     models = []
     for _ in range(60):
@@ -131,6 +134,12 @@ def test_balance_roots_whole_when_nothing_is_cut():
         x, y = (rng.multinomial(1 << 16, rng.dirichlet(np.ones(size))) / (1 << 16) for _ in range(2))
         if x.sum() == 1 == y.sum():
             models.append(ModelSpec(x=from_probs(x), y=from_probs(y)))
+    shift_rng = np.random.default_rng(2901)
+    for m in models[:45]:
+        total = int(shift_rng.integers(1, 4))
+        dx = int(shift_rng.integers(0, total + 1))
+        x, y = (np.concatenate([np.zeros(d), p.probs]) for d, p in ((dx, m.x), (total - dx, m.y)))
+        models.append(ModelSpec(x=from_probs(x), y=from_probs(y)))
     dyadic = len(models)
     models += [random_model(rng, support_max=int(rng.integers(1, 9))) for _ in range(100)]
     checked = 0
@@ -142,8 +151,12 @@ def test_balance_roots_whole_when_nothing_is_cut():
         whole = np.roots(c)
         assert m.balance_roots.dtype == whole.dtype
         assert m.balance_roots.tobytes() == whole.tobytes()
+        size = np.abs(whole)
+        rates = np.sort(np.log2(size[size > 0]))[::-1]
+        assert m.root_rates.dtype == rates.dtype
+        assert m.root_rates.tobytes() == rates.tobytes()
         checked += 1
-    assert dyadic >= 50 and checked >= 140
+    assert dyadic >= 95 and checked >= 185
 
 
 def _exact_value(c, z):

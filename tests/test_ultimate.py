@@ -274,6 +274,20 @@ def test_singular_system_raises_and_exits_3(monkeypatch, capsys, ex1):
     assert out == "" and err.startswith("numerical error: difference system is singular at n=")
 
 
+def test_coefficients_near_the_budget_raise_and_exit_3(monkeypatch, capsys, ex1):
+    """Coefficient sequences whose realized magnitudes come within 64 bits
+    of the bit budget are refused, here on table 1's model with the budget
+    held at 128 bits, and the CLI reports it as a numerical failure."""
+    monkeypatch.setattr(ultimate, "_budget", lambda model, tag, n: 128)
+    message = "coefficients reach 2^105, within 64 bits of the 128-bit budget"
+    with pytest.raises(NumericalError) as info:
+        survival_ultimate(ex1, u_max=60)
+    assert str(info.value) == message
+    assert main(["ultimate", "--x", "dpois:1,0", "--y", "dpois:2,0", "--u-max", "60"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"numerical error: {message}\n"
+
+
 # --- forward extension ---
 
 
